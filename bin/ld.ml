@@ -514,7 +514,7 @@ let stats_cmd =
           ~doc:
             "Restrict the span table to one adversary level: only spans \
              inside the core.lb.level span carrying this level index \
-             (probe fan-out included).")
+             (pool tasks it starts included).")
   in
   let json =
     Arg.(
@@ -626,6 +626,8 @@ let top common delta algo interval frames =
     Printf.printf "ld top — frame %d/%d  every %.1fs  (delta=%d vs %s)\n"
       frame frames interval delta algorithm.Packing.name;
     let hits = lookup now "core.lb.memo_replay_hits" in
+    (* Probes count algorithm runs only; lift outputs answered by
+       pull-back count separately. *)
     let probes = lookup now "core.lb.probes" in
     let memo_ratio =
       if hits + probes = 0 then 0.
@@ -637,8 +639,10 @@ let top common delta algo interval frames =
       (rate "core.lb.probes")
       (rate "runtime.ec.sends" +. rate "runtime.po.sends"
       +. rate "runtime.packed.sends");
-    Printf.printf "  memo hit ratio  %10.3f    pool tasks/s %6.0f%s\n"
-      memo_ratio
+    Printf.printf "  lift pull-backs/s %8.0f    memo hit ratio %11.3f\n"
+      (rate "core.lb.lift_pullbacks")
+      memo_ratio;
+    Printf.printf "  pool tasks/s    %10.0f%s\n"
       (rate "core.pool.tasks")
       (match Obs.peak_rss_kb () with
       | Some kb -> Printf.sprintf "    peak RSS %d kB" kb

@@ -5,15 +5,17 @@ module Lift = Ld_cover.Lift
 module Refinement = Ld_cover.Refinement
 module Propagation = Ld_fm.Propagation
 module Obs = Ld_obs.Obs
-module Pool = Ld_pool.Pool
+module Packing = Ld_matching.Packing
 
-(* Adversary-level metrics: probes (algorithm invocations on adversary
-   graphs), certificate/refutation outcomes, and the fate of memoised
-   frontier replays — hits replay the cached construction, refutations
-   stop a replay early, divergences fall back to a full run.
-   [incremental_seeded] counts view checks answered against a composed
-   covering anchor instead of the full unfolded graph. *)
+(* Adversary-level metrics: probes (algorithm runs on adversary graphs),
+   lift outputs answered by pull-back instead of a run, certificate/
+   refutation outcomes, and the fate of memoised frontier replays — hits
+   replay the cached construction, refutations stop a replay early,
+   divergences fall back to a full run. [incremental_seeded] counts view
+   checks answered against a composed covering anchor instead of the
+   full unfolded graph. *)
 let c_probes = Obs.Counter.make "core.lb.probes"
+let c_lift_pullbacks = Obs.Counter.make "core.lb.lift_pullbacks"
 let c_certificates = Obs.Counter.make "core.lb.certificates"
 let c_refutations = Obs.Counter.make "core.lb.refutations"
 let c_memo_hits = Obs.Counter.make "core.lb.memo_replay_hits"
@@ -25,9 +27,10 @@ let c_incremental = Obs.Counter.make "core.lb.incremental_seeded"
    "core.lb.probe" span events the trace consumers already expect. *)
 let h_probe = Ld_obs.Hist.make "core.lb.probe"
 
-type algorithm = Ld_matching.Packing.algorithm = {
+type algorithm = Packing.algorithm = private {
   name : string;
   run : Ec.t -> Fm.t;
+  kind : Packing.kind;
 }
 
 type certificate = {
@@ -119,14 +122,45 @@ let check_feasible ~level graph output =
    algorithm's failing graph is replayed too. *)
 type probe = { probe_level : int; probe_graph : Ec.t; probe_base : Fm.t }
 
+let record_probe ?record ~level graph y =
+  match record with
+  | Some r -> r := { probe_level = level; probe_graph = graph; probe_base = y } :: !r
+  | None -> ()
+
 let run_checked ?record ~level algo graph =
   Obs.Counter.incr c_probes;
   let y = Ld_obs.Hist.timed_span h_probe (fun () -> algo.run graph) in
-  (match record with
-  | Some r -> r := { probe_level = level; probe_graph = graph; probe_base = y } :: !r
-  | None -> ());
+  record_probe ?record ~level graph y;
   check_feasible ~level graph y;
   y
+
+(* A's output on the 2-lift [cov.total] of a graph it produced [y] on.
+   For an executor-backed algorithm this is the pull-back, by the §3.4
+   lift argument, and it needs no feasibility check: [y] passed one, and
+   pull-backs preserve local feasibility. An opaque algorithm is run and
+   checked like any other probe; [lift_check] compares it with the
+   pull-back once every probe of the level has passed. *)
+let lift_output ?record ~level algo (cov : Lift.covering) y =
+  match algo.kind with
+  | Packing.Executor_backed ->
+    Obs.Counter.incr c_lift_pullbacks;
+    let y_lift =
+      Obs.with_span "core.lb.pull_back" (fun () -> Fm.pull_back cov y)
+    in
+    record_probe ?record ~level cov.total y_lift;
+    y_lift
+  | Packing.Opaque -> run_checked ?record ~level algo cov.total
+
+let lift_check algo ~side (cov : Lift.covering) y y_lift =
+  match algo.kind with
+  | Packing.Executor_backed -> ()
+  | Packing.Opaque ->
+    if not (Fm.equal y_lift (Fm.pull_back cov y)) then
+      failwith
+        (Printf.sprintf
+           "%s: not lift-invariant (output on 2-lift %s differs from the \
+            pulled-back base output) — not an EC-model algorithm"
+           algo.name side)
 
 (* Base case (Fig. 5). *)
 let base_case ?record ~delta algo =
@@ -250,13 +284,8 @@ let is_tree_plus_loops g =
   | exception Invalid_argument _ -> false (* parallel edges: not a tree *)
   | sg -> Gr.m sg = Gr.n sg - 1 && Gr.is_connected sg
 
-(* One unfold-and-mix step (Fig. 6 + Fig. 7). This `step` is the
-   adversary driver, not an executor machine transition; it
-   legitimately fans out over Pool (whose env-var fallback may warn
-   on stderr once at startup). *)
-(* ld-lint: allow deep-machine-purity — adversary driver, not a transition *)
-let step ?record ~delta ~algo ~check_views ~check_lift_invariance
-    ~incremental_views state =
+(* One unfold-and-mix step (Fig. 6 + Fig. 7). *)
+let step ?record ~delta ~algo ~check_views ~incremental_views state =
   let level = state.i + 1 in
   Obs.with_span ~args:[ ("level", string_of_int level) ] "core.lb.level"
   @@ fun () ->
@@ -274,41 +303,13 @@ let step ?record ~delta ~algo ~check_views ~check_lift_invariance
       assert (Ec.max_degree x <= delta);
       assert (is_tree_plus_loops x))
     [ gg; hh; gh ];
-  (* The three probes of a level are independent runs of A — fan them
-     out over the pool (submission-order join keeps results, and
-     therefore everything downstream, deterministic), then record and
-     feasibility-check sequentially in the canonical GG, HH, GH order so
-     the probe log and the failing probe are exactly the sequential
-     ones. *)
-  let y_gg, y_hh, y_gh =
-    match
-      Pool.map
-        (fun graph -> Ld_obs.Hist.timed_span h_probe (fun () -> algo.run graph))
-        [ gg; hh; gh ]
-    with
-    | [ a; b; c ] -> (a, b, c)
-    | _ -> assert false
-  in
-  let accept graph y =
-    Obs.Counter.incr c_probes;
-    (match record with
-    | Some r ->
-      r := { probe_level = level; probe_graph = graph; probe_base = y } :: !r
-    | None -> ());
-    check_feasible ~level graph y
-  in
-  accept gg y_gg;
-  accept hh y_hh;
-  accept gh y_gh;
-  if check_lift_invariance then begin
-    if not (Fm.equal y_gg (Fm.pull_back cov_gg y_g)) then
-      failwith
-        (algo.name
-       ^ ": not lift-invariant (output on 2-lift GG differs from pulled-back \
-          output on G) — not an EC-model algorithm");
-    if not (Fm.equal y_hh (Fm.pull_back cov_hh y_h)) then
-      failwith (algo.name ^ ": not lift-invariant on HH")
-  end;
+  (* Probes in the canonical GG, HH, GH order, so the probe log and the
+     failing probe do not depend on which lift outputs were pulled back. *)
+  let y_gg = lift_output ?record ~level algo cov_gg y_g in
+  let y_hh = lift_output ?record ~level algo cov_hh y_h in
+  let y_gh = run_checked ?record ~level algo gh in
+  lift_check algo ~side:"GG" cov_gg y_g y_gg;
+  lift_check algo ~side:"HH" cov_hh y_h y_hh;
   let w_e = Fm.loop_weight y_g e in
   let w_f = Fm.loop_weight y_h f in
   let crossing_gh = Ec.num_edges gh - 1 in
@@ -404,8 +405,7 @@ let certificate_of_state ~views_checked s =
     views_checked;
   }
 
-let run_recording ?record ~check_views ~check_lift_invariance
-    ~incremental_views ~delta algo =
+let run_recording ?record ~check_views ~incremental_views ~delta algo =
   if delta < 2 then invalid_arg "Lower_bound.run: delta must be >= 2";
   Obs.with_span
     ~args:[ ("delta", string_of_int delta); ("algorithm", algo.name) ]
@@ -418,8 +418,7 @@ let run_recording ?record ~check_views ~check_lift_invariance
       certificates := [ certificate_of_state ~views_checked:check_views !state ];
       while !state.i < delta - 2 do
         let next, views_checked =
-          step ?record ~delta ~algo ~check_views ~check_lift_invariance
-            ~incremental_views !state
+          step ?record ~delta ~algo ~check_views ~incremental_views !state
         in
         state := next;
         certificates := certificate_of_state ~views_checked next :: !certificates
@@ -434,10 +433,8 @@ let run_recording ?record ~check_views ~check_lift_invariance
     Obs.Counter.incr c_refutations);
   outcome
 
-let run ?(check_views = true) ?(check_lift_invariance = true)
-    ?(incremental_views = true) ~delta algo =
-  run_recording ~check_views ~check_lift_invariance ~incremental_views ~delta
-    algo
+let run ?(check_views = true) ?(incremental_views = true) ~delta algo =
+  run_recording ~check_views ~incremental_views ~delta algo
 
 let max_level = function
   | Certified certs | Refuted (certs, _) ->
@@ -497,8 +494,7 @@ let build_cache ?(check_views = true) ?(incremental_views = true) ~delta algo =
   @@ fun () ->
   let record = ref [] in
   let outcome =
-    run_recording ~record ~check_views ~check_lift_invariance:true
-      ~incremental_views ~delta algo
+    run_recording ~record ~check_views ~incremental_views ~delta algo
   in
   let probes = List.rev !record in
   let prefix_rounds = Array.of_list (List.map prefix_round probes) in
@@ -522,6 +518,7 @@ let cache_delta cache = cache.cache_delta
 let cache_algo_name cache = cache.cache_algo_name
 let cache_check_views cache = cache.cache_check_views
 let cache_probes cache = cache.cache_probes
+let cache_prefix_rounds cache = Array.copy cache.cache_prefix_rounds
 
 (* Rebuild a cache from stored parts (the persistent store's warm
    path). The thresholds are a pure function of the probes, and the
@@ -589,7 +586,7 @@ let restrict_output y graph ~rounds =
 
 let truncated_replay cache ~rounds =
   if
-    cache.cache_algo_name <> Ld_matching.Packing.greedy_algorithm.name
+    cache.cache_algo_name <> Packing.greedy_algorithm.name
   then
     invalid_arg
       "Lower_bound.truncated_replay: cache was not built against \
@@ -627,7 +624,7 @@ let truncated_replay cache ~rounds =
 
 let truncated_verdict cache ~rounds =
   if
-    cache.cache_algo_name <> Ld_matching.Packing.greedy_algorithm.name
+    cache.cache_algo_name <> Packing.greedy_algorithm.name
   then
     invalid_arg
       "Lower_bound.truncated_verdict: cache was not built against \
@@ -653,14 +650,14 @@ let truncated_verdict cache ~rounds =
 let boundary ~delta ~truncate_max base =
   let base_algo =
     match base with
-    | `Greedy -> Ld_matching.Packing.greedy_algorithm
-    | `Proposal -> Ld_matching.Packing.proposal_algorithm
+    | `Greedy -> Packing.greedy_algorithm
+    | `Proposal -> Packing.proposal_algorithm
   in
   let cache = build_cache ~check_views:false ~delta base_algo in
   let outcome_at r =
     match base with
     | `Greedy -> truncated_replay cache ~rounds:r
-    | `Proposal -> cached_run cache (Ld_matching.Packing.truncated base r)
+    | `Proposal -> cached_run cache (Packing.truncated base r)
   in
   List.init (truncate_max + 1) (fun r -> (r, max_level (outcome_at r)))
 

@@ -35,9 +35,10 @@ module Ec = Ld_models.Ec
 module Fm = Ld_fm.Fm
 module Q = Ld_arith.Q
 
-type algorithm = Ld_matching.Packing.algorithm = {
+type algorithm = Ld_matching.Packing.algorithm = private {
   name : string;
   run : Ec.t -> Fm.t;
+  kind : Ld_matching.Packing.kind;
 }
 
 type certificate = {
@@ -76,16 +77,22 @@ type outcome =
 (** [run ~delta a] executes the adversary against [a] for maximum
     degree [delta >= 2].
 
-    The three probes of every level (GG, HH, GH) are independent runs of
-    [a] and are fanned out over the {!Ld_pool.Pool} domains; recording
-    and feasibility checks happen in the canonical sequential order, so
-    outcomes are bit-for-bit those of a sequential run.
+    Every level has three probe graphs: the 2-lifts GG and HH and the
+    mixture GH. Only GH is new to [a]. If [a] is
+    {{!Ld_matching.Packing.kind}executor-backed} (greedy, proposal,
+    their truncations, [Mm_ec.as_packing_algorithm]), its outputs on GG
+    and HH are the pull-backs of its already-checked outputs on G and
+    H (the paper's §3.4 lift argument), so they are obtained with
+    {!Ld_fm.Fm.pull_back}: [a] runs once per level, and the pull-backs
+    need no feasibility check because pull-backs preserve local
+    feasibility. An {{!Ld_matching.Packing.opaque}opaque} [a] is run on
+    all three graphs and feasibility-checked; an output on GG or HH
+    that differs from the pull-back means [a] violates the EC model's
+    condition (2) and raises [Failure]. Either way the probes are
+    recorded in the order GG, HH, GH.
 
     @param check_views verify P1 view-isomorphism by colour refinement
     at every level (default [true]).
-    @param check_lift_invariance re-run [a] on each 2-lift and compare
-    with the pulled-back base output; a mismatch means [a] violates the
-    EC model's condition (2) and raises [Failure] (default [true]).
     @param incremental_views make the P1 checks incremental across
     adjacent levels (default [true]): each level's graph extends the
     previous level's by a 2-lift, and covering maps preserve
@@ -95,8 +102,8 @@ type outcome =
     smaller union ([core.lb.incremental_seeded] counts these).
     @raise Invalid_argument if [delta < 2]. *)
 val run :
-  ?check_views:bool -> ?check_lift_invariance:bool ->
-  ?incremental_views:bool -> delta:int -> algorithm -> outcome
+  ?check_views:bool -> ?incremental_views:bool -> delta:int -> algorithm ->
+  outcome
 
 (** Highest certified level of an outcome ([-1] if none). *)
 val max_level : outcome -> int
@@ -181,6 +188,11 @@ val cache_delta : cache -> int
 val cache_algo_name : cache -> string
 val cache_check_views : cache -> bool
 val cache_probes : cache -> probe list
+
+(** Per probe, in probe order, the smallest truncation whose colour
+    restriction of the recorded output is still feasible ([max_int] for
+    a probe the base algorithm itself failed). A fresh copy. *)
+val cache_prefix_rounds : cache -> int array
 
 (** [assemble_cache ~delta ~algo_name ~check_views ~probes ~outcome]
     rebuilds a cache from stored parts. The per-probe feasibility

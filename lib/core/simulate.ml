@@ -13,23 +13,21 @@ module Po_packing = Ld_matching.Po_packing
    ids 2i and 2i+1, and maps EC loop j to PO loop j.                    *)
 
 let ec_of_po (a : Po_packing.algorithm) : Packing.algorithm =
-  {
-    name = Printf.sprintf "ec-of-po(%s)" a.name;
-    run =
-      (fun ec ->
-        let po = Po.of_ec ec in
-        let y = a.run po in
-        let edge_w =
-          Array.init (Ec.num_edges ec) (fun i ->
-              Q.add (Po_fm.arc_weight y (2 * i)) (Po_fm.arc_weight y ((2 * i) + 1)))
-        in
-        let loop_w =
-          Array.init (Ec.num_loops ec) (fun j ->
-              (* the loop's lifted edge carries one arc each way *)
-              Q.add (Po_fm.loop_weight y j) (Po_fm.loop_weight y j))
-        in
-        Fm.create ec ~edge_w ~loop_w);
-  }
+  Packing.opaque
+    ~name:(Printf.sprintf "ec-of-po(%s)" a.name)
+    (fun ec ->
+      let po = Po.of_ec ec in
+      let y = a.run po in
+      let edge_w =
+        Array.init (Ec.num_edges ec) (fun i ->
+            Q.add (Po_fm.arc_weight y (2 * i)) (Po_fm.arc_weight y ((2 * i) + 1)))
+      in
+      let loop_w =
+        Array.init (Ec.num_loops ec) (fun j ->
+            (* the loop's lifted edge carries one arc each way *)
+            Q.add (Po_fm.loop_weight y j) (Po_fm.loop_weight y j))
+      in
+      Fm.create ec ~edge_w ~loop_w)
 
 (* ------------------------------------------------------------------ *)
 (* PO ⇐ OI (§5.3).                                                     *)

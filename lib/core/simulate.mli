@@ -27,7 +27,9 @@ module Q = Ld_arith.Q
 
 (** {1 EC ⇐ PO} *)
 
-(** [ec_of_po a] is the §5.1 simulation; same number of rounds. *)
+(** [ec_of_po a] is the §5.1 simulation; same number of rounds. The
+    result is {!Ld_matching.Packing.opaque}: the adversary runs it on
+    every 2-lift and checks the output against the pull-back. *)
 val ec_of_po : Ld_matching.Po_packing.algorithm -> Ld_matching.Packing.algorithm
 
 (** {1 PO ⇐ OI} *)

@@ -71,13 +71,12 @@ let to_fm g r =
   Ld_fm.Fm.create g ~edge_w ~loop_w
 
 let as_packing_algorithm ?truncate () : Packing.algorithm =
-  {
-    name =
+  Algorithm.executor_backed
+    ~name:
       (match truncate with
       | None -> "greedy-maximal-matching"
-      | Some r -> Printf.sprintf "greedy-maximal-matching[%d rounds]" r);
-    run = (fun g -> to_fm g (greedy ?truncate g));
-  }
+      | Some r -> Printf.sprintf "greedy-maximal-matching[%d rounds]" r)
+    (fun g -> to_fm g (greedy ?truncate g))
 
 let is_maximal g r =
   (* Each matched node is matched through exactly one dart, and the dart

@@ -33,5 +33,6 @@ val is_maximal : Ld_models.Ec.t -> result -> bool
 val to_fm : Ld_models.Ec.t -> result -> Ld_fm.Fm.t
 
 (** The greedy matching packaged for the lower-bound engine
-    (optionally truncated to [r] rounds). *)
+    (optionally truncated to [r] rounds), as an
+    {{!Packing.kind}executor-backed} algorithm. *)
 val as_packing_algorithm : ?truncate:int -> unit -> Packing.algorithm

@@ -191,22 +191,34 @@ let proposal ?truncate g =
 
 (* ------------------------------------------------------------------ *)
 
-type algorithm = { name : string; run : Ec.t -> Fm.t }
+type kind = Algorithm.kind = Executor_backed | Opaque
 
-let greedy_algorithm = { name = "greedy-by-colour"; run = greedy_by_colour ?truncate:None }
+type algorithm = Algorithm.t = {
+  name : string;
+  run : Ec.t -> Fm.t;
+  kind : kind;
+}
+
+let opaque ~name run = { name; run; kind = Opaque }
+
+(* Greedy runs [max_colour] rounds (capped at [r]) and proposal runs
+   until every node has halted (or exactly [r] rounds; its n + 2 cap is
+   never reached): both round counts are the same on a graph and on any
+   lift of it. *)
+let greedy_algorithm =
+  Algorithm.executor_backed ~name:"greedy-by-colour"
+    (greedy_by_colour ?truncate:None)
 
 let proposal_algorithm =
-  { name = "proposal"; run = (fun g -> fst (proposal g)) }
+  Algorithm.executor_backed ~name:"proposal" (fun g -> fst (proposal g))
 
 let truncated base r =
   match base with
   | `Greedy ->
-    {
-      name = Printf.sprintf "greedy-by-colour[%d rounds]" r;
-      run = (fun g -> greedy_by_colour ~truncate:r g);
-    }
+    Algorithm.executor_backed
+      ~name:(Printf.sprintf "greedy-by-colour[%d rounds]" r)
+      (fun g -> greedy_by_colour ~truncate:r g)
   | `Proposal ->
-    {
-      name = Printf.sprintf "proposal[%d rounds]" r;
-      run = (fun g -> fst (proposal ~truncate:r g));
-    }
+    Algorithm.executor_backed
+      ~name:(Printf.sprintf "proposal[%d rounds]" r)
+      (fun g -> fst (proposal ~truncate:r g))

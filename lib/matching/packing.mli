@@ -37,9 +37,36 @@ val greedy_rounds : Ld_models.Ec.t -> int
     maximal FM after at most [n] rounds. *)
 val proposal : ?truncate:int -> Ld_models.Ec.t -> Ld_fm.Fm.t * int
 
-(** A named black-box algorithm, as consumed by the lower-bound engine:
-    [run] must be deterministic and lift-invariant. *)
-type algorithm = { name : string; run : Ld_models.Ec.t -> Ld_fm.Fm.t }
+(** How the lower-bound engine obtains an algorithm's output on a
+    2-lift of a graph it has already run on.
+
+    - [Executor_backed]: [run] is {!Ld_runtime.Anon_ec.run} of an
+      anonymous machine followed by a per-dart decode, for a round
+      count that is a lift-invariant function of the graph (such as
+      [Ec.max_colour]). Every node of a lift sees exactly what its
+      image sees in every round (the paper's §3.4 lift argument), so
+      the output on a lift {e is} the pulled-back base output
+      ({!Ld_fm.Fm.pull_back}) and the engine does not run it.
+      {!greedy_algorithm}, {!proposal_algorithm}, both {!truncated}
+      variants and [Mm_ec.as_packing_algorithm] are of this kind; no
+      other value can be.
+    - [Opaque]: any other closure. The engine runs it on every lift,
+      checks feasibility, and rejects it unless the output equals the
+      pull-back. *)
+type kind = Algorithm.kind = Executor_backed | Opaque
+
+(** A named algorithm, as consumed by the lower-bound engine: [run]
+    must be deterministic and lift-invariant. The record is private:
+    build opaque algorithms with {!opaque}. *)
+type algorithm = Algorithm.t = private {
+  name : string;
+  run : Ld_models.Ec.t -> Ld_fm.Fm.t;
+  kind : kind;
+}
+
+(** [opaque ~name run] wraps an arbitrary closure. The engine treats it
+    as a black box: it is run on every probe graph, 2-lifts included. *)
+val opaque : name:string -> (Ld_models.Ec.t -> Ld_fm.Fm.t) -> algorithm
 
 val greedy_algorithm : algorithm
 

@@ -102,8 +102,8 @@ let pp_tree fmt () =
 (* Span table restricted to one [core.lb.level] subtree, selected by the
    ("level", i) arg the engine stamps on the span. The engine processes
    levels sequentially, so a matching level span's [t0, t1] window
-   delimits its work exactly — including probe tasks fanned out to other
-   pool domains, which begin and end inside the window. Scoping by
+   delimits its work exactly — including tasks fanned out to other pool
+   domains, which begin and end inside the window. Scoping by
    window therefore captures the whole subtree across domains while
    excluding sibling levels. *)
 let pp_level ~level fmt () =

@@ -11,7 +11,8 @@ val pp_tree : Format.formatter -> unit -> unit
 val pp_level : level:int -> Format.formatter -> unit -> unit
 (** Span table restricted to the [core.lb.level] span carrying arg
     [("level", i)] and everything nested inside it (across domains —
-    the level's probe fan-out is included, sibling levels are not). *)
+    pool tasks started by the level are included, sibling levels are
+    not). *)
 
 val to_json : unit -> string
 (** Machine-readable form of the {!pp} tables plus histogram quantiles:

@@ -304,26 +304,22 @@ let non_lift_invariant_rejected () =
   (* An "algorithm" that breaks symmetry it cannot see (uses node ids)
      must be caught by the lift-invariance sanity check. *)
   let cheating =
-    {
-      LB.name = "cheater";
-      run =
-        (fun g ->
-          (* Saturate node 0's first loop only; elsewhere greedy. *)
-          let y = Ld_fm.Greedy.maximal_fm g in
-          match Ec.loops_at g 0 with
-          | l0 :: _ ->
-            let loop_w =
-              Array.mapi
-                (fun i w -> if i = l0 then Q.one else w)
-                (Array.init (Ec.num_loops g) (Fm.loop_weight y))
-            in
-            let edge_w =
-              Array.init (Ec.num_edges g) (fun i ->
-                  if i = 0 then Q.zero else Fm.edge_weight y i)
-            in
-            Fm.create g ~edge_w ~loop_w
-          | [] -> y);
-    }
+    Packing.opaque ~name:"cheater" (fun g ->
+        (* Saturate node 0's first loop only; elsewhere greedy. *)
+        let y = Ld_fm.Greedy.maximal_fm g in
+        match Ec.loops_at g 0 with
+        | l0 :: _ ->
+          let loop_w =
+            Array.mapi
+              (fun i w -> if i = l0 then Q.one else w)
+              (Array.init (Ec.num_loops g) (Fm.loop_weight y))
+          in
+          let edge_w =
+            Array.init (Ec.num_edges g) (fun i ->
+                if i = 0 then Q.zero else Fm.edge_weight y i)
+          in
+          Fm.create g ~edge_w ~loop_w
+        | [] -> y)
   in
   Alcotest.(check bool) "cheater detected or refuted" true
     (try
@@ -331,6 +327,76 @@ let non_lift_invariant_rejected () =
        | LB.Refuted _ -> true
        | LB.Certified _ -> false
      with Failure _ -> true)
+
+(* Pulling lift outputs back must build exactly the construction that
+   running the algorithm on every lift builds: the same outcome, probe
+   log, truncation thresholds and stored level records. *)
+let pull_back_matches_opaque_runs =
+  let executor_backed =
+    [ Packing.greedy_algorithm; Packing.proposal_algorithm;
+      Ld_matching.Mm_ec.as_packing_algorithm () ]
+    @ List.concat_map
+        (fun r ->
+          [ Packing.truncated `Greedy r; Packing.truncated `Proposal r;
+            Ld_matching.Mm_ec.as_packing_algorithm ~truncate:r () ])
+        [ 0; 2; 4; 7 ]
+  in
+  QCheck.Test.make ~count:25
+    ~name:"executor-backed build_cache = opaque-wrapper build_cache"
+    (QCheck.pair (QCheck.int_range 2 8)
+       (QCheck.int_range 0 (List.length executor_backed - 1)))
+    (fun (delta, k) ->
+      let a = List.nth executor_backed k in
+      let fast = LB.build_cache ~delta a in
+      let slow = LB.build_cache ~delta (Packing.opaque ~name:a.name a.run) in
+      let probe_equal (p : LB.probe) (q : LB.probe) =
+        p.probe_level = q.probe_level
+        && Ec.equal p.probe_graph q.probe_graph
+        && Fm.equal p.probe_base q.probe_base
+      in
+      let cert_equal (c : LB.certificate) (d : LB.certificate) =
+        c.level = d.level
+        && Ec.equal c.g_graph d.g_graph
+        && Ec.equal c.h_graph d.h_graph
+        && c.g_node = d.g_node && c.h_node = d.h_node
+        && c.colour = d.colour && c.g_loop = d.g_loop && c.h_loop = d.h_loop
+        && Q.equal c.g_weight d.g_weight
+        && Q.equal c.h_weight d.h_weight
+        && Bool.equal c.views_checked d.views_checked
+      in
+      let outcome_equal =
+        match (LB.cache_outcome fast, LB.cache_outcome slow) with
+        | LB.Certified cs, LB.Certified ds -> List.equal cert_equal cs ds
+        | LB.Refuted (cs, f), LB.Refuted (ds, g) ->
+          List.equal cert_equal cs ds
+          && f.fail_level = g.fail_level
+          && Ec.equal f.fail_graph g.fail_graph
+          && Fm.equal f.fail_output g.fail_output
+          && List.length f.fail_violations = List.length g.fail_violations
+        | _ -> false
+      in
+      let records cache =
+        let probes = LB.cache_probes cache in
+        match LB.cache_outcome cache with
+        | LB.Certified certs | LB.Refuted (certs, _) ->
+          List.map
+            (fun (c : LB.certificate) ->
+              Ld_core.Cache_store.entry_to_string
+                {
+                  entry_level = c.level;
+                  entry_certificate = c;
+                  entry_probes =
+                    List.filter
+                      (fun (p : LB.probe) -> p.probe_level = c.level)
+                      probes;
+                })
+            certs
+      in
+      outcome_equal
+      && List.equal probe_equal (LB.cache_probes fast) (LB.cache_probes slow)
+      && Array.for_all2 Int.equal (LB.cache_prefix_rounds fast)
+           (LB.cache_prefix_rounds slow)
+      && List.equal String.equal (records fast) (records slow))
 
 let views_match_explicit_trees () =
   (* Cross-validate the refinement-based P1 check with explicit view
@@ -604,6 +670,7 @@ let () =
             truncated_algorithms_refuted;
           Alcotest.test_case "cheating algorithms rejected" `Quick
             non_lift_invariant_rejected;
+          QCheck_alcotest.to_alcotest pull_back_matches_opaque_runs;
         ] );
       ( "locality",
         [

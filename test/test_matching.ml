@@ -50,16 +50,66 @@ let proposal_maximal_on_loopy =
       let y, _ = Packing.proposal g in
       Fm.is_maximal_fm y && Fm.is_fully_saturated y)
 
-let algorithms_lift_invariant =
-  QCheck.Test.make ~count:30 ~name:"both algorithms satisfy condition (2) on 2-lifts"
-    (QCheck.pair (QCheck.int_range 1 8) (QCheck.int_range 0 999))
-    (fun (n, seed) ->
-      let g = loopy_of_tree ~seed n in
-      let cov = Lift.unfold_loop g ~loop_id:0 in
-      let check (algo : Packing.algorithm) =
-        Fm.equal (algo.run cov.total) (Fm.pull_back cov (algo.run g))
+(* Random loopy EC multigraphs: a properly coloured bounded-degree graph
+   plus up to two loops per node in fresh colours (node 0 always has
+   one, so there is a loop to unfold). *)
+let random_loopy ~seed n d =
+  let base = Colouring.ec_of_simple (Gen.random_bounded_degree ~seed n d) in
+  let next = Ec.max_colour base in
+  let rng = Random.State.make [| seed |] in
+  let loops =
+    List.concat
+      (List.init n (fun v ->
+           List.filter_map
+             (fun k ->
+               if (v = 0 && k = 1) || Random.State.bool rng then
+                 Some (v, next + k)
+               else None)
+             [ 1; 2 ]))
+  in
+  Ec.create ~n
+    ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges base))
+    ~loops
+
+(* Every executor-backed algorithm: both bases, the greedy matching, and
+   their truncations at r = 0 .. Δ+1. *)
+let executor_backed ~delta =
+  let rs = List.init (delta + 2) Fun.id in
+  [ Packing.greedy_algorithm; Packing.proposal_algorithm;
+    Ld_matching.Mm_ec.as_packing_algorithm () ]
+  @ List.concat_map
+      (fun r ->
+        [ Packing.truncated `Greedy r; Packing.truncated `Proposal r;
+          Ld_matching.Mm_ec.as_packing_algorithm ~truncate:r () ])
+      rs
+
+(* Condition (2) of the EC model. The lower-bound engine answers an
+   executor-backed algorithm's output on a 2-lift by pull-back instead
+   of running it; this is the check that licenses doing so. Half the
+   cases are loopy trees (a loop at every node), as in the adversary. *)
+let executor_backed_outputs_pull_back =
+  QCheck.Test.make ~count:40
+    ~name:"executor-backed output on every loop unfolding = pull-back"
+    (QCheck.triple (QCheck.int_range 1 9) (QCheck.int_range 1 3)
+       (QCheck.int_range 0 999))
+    (fun (n, d, seed) ->
+      let g =
+        if seed mod 2 = 0 then loopy_of_tree ~seed n else random_loopy ~seed n d
       in
-      check Packing.greedy_algorithm && check Packing.proposal_algorithm)
+      let lifts =
+        List.init (Ec.num_loops g) (fun loop_id -> Lift.unfold_loop g ~loop_id)
+      in
+      List.for_all
+        (fun (algo : Packing.algorithm) ->
+          let y = algo.run g in
+          (match algo.kind with
+          | Packing.Executor_backed -> true
+          | Packing.Opaque -> false)
+          && List.for_all
+               (fun (cov : Lift.covering) ->
+                 Fm.equal (algo.run cov.total) (Fm.pull_back cov y))
+               lifts)
+        (executor_backed ~delta:(Ec.max_degree g)))
 
 let greedy_round_count () =
   (* Exactly k = number of colours communication rounds; on a greedily
@@ -212,7 +262,7 @@ let () =
           QCheck_alcotest.to_alcotest proposal_maximal_on_loopy;
           Alcotest.test_case "rounds vs delta" `Quick proposal_rounds_track_delta;
         ] );
-      ("model", [ QCheck_alcotest.to_alcotest algorithms_lift_invariant ]);
+      ("model", [ QCheck_alcotest.to_alcotest executor_backed_outputs_pull_back ]);
       ( "approx-packing",
         [
           QCheck_alcotest.to_alcotest approx_quality;

@@ -273,6 +273,24 @@ let instrumented_equals_uninstrumented =
       let traced = Fun.protect ~finally:Obs.disable (fun () -> LB.run ~delta algo) in
       outcome_fingerprint plain = outcome_fingerprint traced)
 
+(* [core.lb.probes] counts algorithm runs only. At Δ = 6 greedy runs on
+   G_0, H_0 and one mixture per level 1..4, and its 2 × 4 lift outputs
+   are pull-backs; the opaque wrapper of the same closure also runs on
+   every lift. *)
+let probe_counters () =
+  with_enabled @@ fun () ->
+  let counts algo =
+    let before = Obs.Counter.snapshot_all () in
+    ignore (LB.run ~delta:6 algo : LB.outcome);
+    let d = Obs.Counter.diff before (Obs.Counter.snapshot_all ()) in
+    let get name = Option.value ~default:0 (List.assoc_opt name d) in
+    (get "core.lb.probes", get "core.lb.lift_pullbacks")
+  in
+  let g = Packing.greedy_algorithm in
+  Alcotest.(check (pair int int)) "greedy: probes, pull-backs" (6, 8) (counts g);
+  Alcotest.(check (pair int int)) "opaque greedy: probes, pull-backs" (14, 0)
+    (counts (Packing.opaque ~name:g.name g.run))
+
 (* ------------------------------------------------------------------ *)
 (* Histograms: the quantile error bound the exposition documents, the
    shard merge across pool domains, the sink gate, and the span hook. *)
@@ -757,6 +775,8 @@ let () =
           Alcotest.test_case "atomic under Pool.map (4 domains)" `Quick
             counter_atomic_under_pool;
           Alcotest.test_case "snapshot_all / diff" `Quick counter_snapshot_diff;
+          Alcotest.test_case "adversary probes and lift pull-backs" `Quick
+            probe_counters;
         ] );
       ( "gauges",
         [
