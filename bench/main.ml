@@ -6,7 +6,7 @@
    times the main moving parts. *)
 
 module LB = Ld_core.Lower_bound
-module Pool = Ld_core.Pool
+module Pool = Ld_pool.Pool
 module Obs = Ld_obs.Obs
 module Provenance = Ld_obs.Provenance
 module Trace = Ld_obs.Trace
@@ -448,7 +448,7 @@ let bechamel_pass () =
         (Staged.stage
            (let tree = Gen.random_tree ~seed:1 2048 in
             let ec = Colouring.ec_of_simple tree in
-            fun () -> ignore (Ld_cover.Refinement.refine_ec ec ~rounds:10)));
+            fun () -> ignore (Ld_cover.Refinement.refine (Ld_models.Ec.dart_csr ec) ~rounds:10)));
       Test.make ~name:"panconesi-rizzi n=256 delta=4"
         (Staged.stage
            (let g = Gen.random_bounded_degree ~seed:2 256 4 in

@@ -1,123 +1,14 @@
 module Ec = Ld_models.Ec
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
-module S = Sexp
+(* ---- binary codecs ----
 
-(* ---- serialisation ---- *)
-
-let sexp_of_graph g =
-  S.list
-    [
-      S.field "n" [ S.int (Ec.n g) ];
-      S.field "edges"
-        (List.map
-           (fun (e : Ec.edge) -> S.list [ S.int e.u; S.int e.v; S.int e.colour ])
-           (Ec.edges g));
-      S.field "loops"
-        (List.map
-           (fun (l : Ec.loop) -> S.list [ S.int l.node; S.int l.colour ])
-           (Ec.loops g));
-    ]
-
-let graph_of_sexp s =
-  let n = S.to_int (List.hd (S.find "n" s)) in
-  let triple = function
-    | S.List [ a; b; c ] -> (S.to_int a, S.to_int b, S.to_int c)
-    | _ -> failwith "Certificate_io: bad edge"
-  in
-  let pair = function
-    | S.List [ a; b ] -> (S.to_int a, S.to_int b)
-    | _ -> failwith "Certificate_io: bad loop"
-  in
-  Ec.create ~n
-    ~edges:(List.map triple (S.find "edges" s))
-    ~loops:(List.map pair (S.find "loops" s))
-
-let sexp_of_certificate (c : Lower_bound.certificate) =
-  S.field "certificate"
-    [
-      S.field "level" [ S.int c.level ];
-      S.field "colour" [ S.int c.colour ];
-      S.field "g-graph" [ sexp_of_graph c.g_graph ];
-      S.field "h-graph" [ sexp_of_graph c.h_graph ];
-      S.field "g-node" [ S.int c.g_node ];
-      S.field "h-node" [ S.int c.h_node ];
-      S.field "g-loop" [ S.int c.g_loop ];
-      S.field "h-loop" [ S.int c.h_loop ];
-      S.field "g-weight" [ S.atom (Q.to_string c.g_weight) ];
-      S.field "h-weight" [ S.atom (Q.to_string c.h_weight) ];
-    ]
-
-let certificate_of_sexp s =
-  let body =
-    match s with
-    | S.List (S.Atom "certificate" :: body) -> S.List body
-    | _ -> failwith "Certificate_io: expected (certificate ...)"
-  in
-  let one name = List.hd (S.find name body) in
-  {
-    Lower_bound.level = S.to_int (one "level");
-    colour = S.to_int (one "colour");
-    g_graph = graph_of_sexp (one "g-graph");
-    h_graph = graph_of_sexp (one "h-graph");
-    g_node = S.to_int (one "g-node");
-    h_node = S.to_int (one "h-node");
-    g_loop = S.to_int (one "g-loop");
-    h_loop = S.to_int (one "h-loop");
-    g_weight = Q.of_string (S.to_atom (one "g-weight"));
-    h_weight = Q.of_string (S.to_atom (one "h-weight"));
-    views_checked = false; (* a loaded certificate is unverified *)
-  }
-
-let to_string certs =
-  String.concat "\n" (List.map (fun c -> S.to_string (sexp_of_certificate c)) certs)
-  ^ "\n"
-
-let of_string text =
-  (* One sexp per line group: reparse greedily by balancing parens. *)
-  let items = ref [] in
-  let depth = ref 0 and start = ref None in
-  String.iteri
-    (fun i ch ->
-      match ch with
-      | '(' ->
-        if !depth = 0 then start := Some i;
-        incr depth
-      | ')' ->
-        decr depth;
-        if !depth = 0 then begin
-          match !start with
-          | Some s_pos ->
-            items := String.sub text s_pos (i - s_pos + 1) :: !items;
-            start := None
-          | None -> failwith "Certificate_io.of_string: unbalanced"
-        end
-      | _ -> ())
-    text;
-  if !depth <> 0 then failwith "Certificate_io.of_string: unbalanced";
-  List.rev_map (fun item -> certificate_of_sexp (S.of_string item)) !items
-
-let save path certs =
-  let oc = open_out path in
-  output_string oc (to_string certs);
-  close_out oc
-
-let load path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  of_string text
-
-(* ---- binary codecs (persistent store) ----
-
-   The sexp codec above is the human-auditable interchange format; the
-   persistent store wants something it can write and reparse at disk
-   speed for multi-megabyte level-18 graphs. Layout: ints are 64-bit
-   little-endian, strings (rational weights via [Q.to_string]) are
-   length-prefixed, arrays are count-prefixed. Truncated or garbled
-   input surfaces as [Failure] from the explicit bounds checks — never
-   an out-of-bounds crash. *)
+   One encoding for certificate files and the persistent store, which
+   must write and reparse multi-megabyte level-18 graphs at disk speed.
+   Layout: ints are 64-bit little-endian, strings (rational weights via
+   [Q.to_string]) are length-prefixed, arrays are count-prefixed.
+   Truncated or garbled input surfaces as [Failure] from the explicit
+   bounds checks — never an out-of-bounds crash. *)
 
 let bin_truncated () = failwith "Certificate_io: truncated binary record"
 
@@ -251,6 +142,43 @@ let probe_of_binary s ~pos =
   let probe_base = fm_of_binary s ~pos probe_graph in
   { Lower_bound.probe_level; probe_graph; probe_base }
 
+(* ---- certificate files ----
+
+   magic "LDC1" | MD5 of the payload (16 raw bytes) | payload, where the
+   payload is a count followed by that many [certificate_to_binary]
+   records. The digest is checked before anything is decoded, as in
+   [Ld_store] frames, so a flipped or missing byte anywhere is a
+   [Failure], never a quietly different certificate. *)
+
+let magic = "LDC1"
+let header_len = String.length magic + 16
+
+let to_string certs =
+  let payload = Buffer.create 4096 in
+  bput_int payload (List.length certs);
+  List.iter (certificate_to_binary payload) certs;
+  let payload = Buffer.contents payload in
+  String.concat "" [ magic; Digest.string payload; payload ]
+
+let of_string s =
+  if String.length s < header_len || String.sub s 0 (String.length magic) <> magic
+  then failwith "Certificate_io: not a certificate file (bad magic)";
+  let payload = String.sub s header_len (String.length s - header_len) in
+  if Digest.string payload <> String.sub s (String.length magic) 16 then
+    failwith "Certificate_io: certificate file digest mismatch";
+  let pos = ref 0 in
+  let count = bget_int payload pos in
+  if count < 0 then bin_truncated ();
+  let certs = List.init count (fun _ -> certificate_of_binary payload ~pos) in
+  if !pos <> String.length payload then
+    failwith "Certificate_io: trailing bytes after the last certificate";
+  certs
+
+let save path certs =
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string certs))
+
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
+
 (* ---- verification ---- *)
 
 type check = {
@@ -264,16 +192,6 @@ type check = {
 let check_ok c =
   c.chk_structure && c.chk_views && c.chk_weights_differ
   && (match c.chk_outputs with Some false -> false | Some true | None -> true)
-
-let is_tree_plus_loops g =
-  let module Gr = Ld_graph.Graph in
-  match
-    Gr.create (Ec.n g)
-      (List.map (fun (x : Ec.edge) -> (Stdlib.min x.u x.v, Stdlib.max x.u x.v))
-         (Ec.edges g))
-  with
-  | exception Invalid_argument _ -> false
-  | sg -> Gr.m sg = Gr.n sg - 1 && Gr.is_connected sg
 
 let verify ?algorithm ~delta certs =
   List.map
@@ -292,13 +210,13 @@ let verify ?algorithm ~delta certs =
         && Ec.min_loops c.h_graph >= delta - 1 - c.level
         && Ec.max_degree c.g_graph <= delta
         && Ec.max_degree c.h_graph <= delta
-        && is_tree_plus_loops c.g_graph
-        && is_tree_plus_loops c.h_graph
+        && Ld_check.is_tree_plus_loops c.g_graph
+        && Ld_check.is_tree_plus_loops c.h_graph
       in
       let chk_views =
         chk_structure
-        && Ld_cover.Refinement.equivalent_radius c.g_graph c.g_node c.h_graph
-             c.h_node ~radius:c.level
+        && Ld_check.equivalent_radius c.g_graph c.g_node c.h_graph c.h_node
+             ~radius:c.level
       in
       let chk_weights_differ = not (Q.equal c.g_weight c.h_weight) in
       let chk_outputs =

@@ -6,25 +6,33 @@
     (view isomorphism + structural claims), or additionally against the
     algorithm (re-running it and comparing the claimed outputs). This
     separates certificate {e checking} from certificate {e generation},
-    the usual standard for a verifiable artifact. *)
+    the usual standard for a verifiable artifact. Verification uses the
+    checker kernel [Ld_check], not the refinement code that produced the
+    certificates. *)
 
-(** Serialise a certificate chain. *)
+(** Serialise a certificate chain: the magic ["LDC1"], the MD5 of the
+    payload, then the payload — a count and that many
+    {!certificate_to_binary} records. *)
 val to_string : Lower_bound.certificate list -> string
 
-(** @raise Failure on malformed input. *)
+(** Inverse of {!to_string}; round-trips every field, [views_checked]
+    included.
+    @raise Failure on a bad magic, a digest mismatch (any changed,
+    missing or extra byte) or a malformed payload. *)
 val of_string : string -> Lower_bound.certificate list
 
 val save : string -> Lower_bound.certificate list -> unit
+
+(** @raise Failure as {!of_string}. *)
 val load : string -> Lower_bound.certificate list
 
 (** {2 Binary codecs}
 
-    The persistent certificate store ({!Cache_store}) serialises whole
-    constructions — certificates plus every recorded probe — and a
-    level-18 probe graph runs to megabytes, so the store uses a compact
-    binary layout instead of the sexp text above: 64-bit little-endian
-    ints, length-prefixed strings ([Q.to_string] rationals),
-    count-prefixed arrays. Unlike {!of_string}, the binary certificate
+    Certificate files and the persistent certificate store
+    ({!Cache_store}, which serialises whole constructions — certificates
+    plus every recorded probe, megabytes at level 18) share one compact
+    binary layout: 64-bit little-endian ints, length-prefixed strings
+    ([Q.to_string] rationals), count-prefixed arrays. The certificate
     codec round-trips [views_checked], so a reloaded construction is
     field-for-field identical to the one that was saved.
 
@@ -51,7 +59,7 @@ type check = {
           nodes; P2 loopiness and P3 tree-shape hold for the stated Δ *)
   chk_views : bool;
       (** radius-[level] views at the distinguished nodes are isomorphic
-          (recomputed by colour refinement) *)
+          (recomputed by [Ld_check]'s list-based colour refinement) *)
   chk_weights_differ : bool;
   chk_outputs : bool option;
       (** when an algorithm is supplied: re-running it reproduces the

@@ -22,7 +22,7 @@ let violation_at ~radius (algo : Lower_bound.algorithm) probes =
   (* One refinement over the disjoint union keeps labels comparable
      across probes. *)
   let union = List.fold_left Ec.disjoint_union (Ec.create ~n:0 ~edges:[] ~loops:[]) probes in
-  let history = Refinement.refine_ec union ~rounds:radius in
+  let history = Refinement.refine (Ec.dart_csr union) ~rounds:radius in
   let labels = history.(radius) in
   let offsets =
     List.rev

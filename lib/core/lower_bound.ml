@@ -273,16 +273,34 @@ let transport ~side ~state ~target ~y_target ~y_mix =
   in
   Fm.create target ~edge_w ~loop_w
 
-(* P3: the graph is a tree once loops are ignored. *)
+(* P3: the graph is a tree once loops are ignored — it has n - 1 edges
+   and a walk over the dart CSR from node 0 reaches every node (loop
+   darts lead back to their own node, so they never widen the walk). A
+   connected multigraph with n - 1 edges has neither cycles nor parallel
+   edges. *)
 let is_tree_plus_loops g =
-  let module Gr = Ld_graph.Graph in
-  match
-    Gr.create (Ec.n g)
-      (List.map (fun (x : Ec.edge) -> (Stdlib.min x.u x.v, Stdlib.max x.u x.v))
-         (Ec.edges g))
-  with
-  | exception Invalid_argument _ -> false (* parallel edges: not a tree *)
-  | sg -> Gr.m sg = Gr.n sg - 1 && Gr.is_connected sg
+  let n = Ec.n g in
+  Ec.num_edges g = n - 1
+  &&
+  let { Ec.row; other; _ } = Ec.csr g in
+  let seen = Array.make n false in
+  let stack = Array.make n 0 in
+  seen.(0) <- true;
+  let top = ref 1 and reached = ref 1 in
+  while !top > 0 do
+    decr top;
+    let v = stack.(!top) in
+    for d = row.(v) to row.(v + 1) - 1 do
+      let u = other.(d) in
+      if not seen.(u) then begin
+        seen.(u) <- true;
+        incr reached;
+        stack.(!top) <- u;
+        incr top
+      end
+    done
+  done;
+  !reached = n
 
 (* One unfold-and-mix step (Fig. 6 + Fig. 7). *)
 let step ?record ~delta ~algo ~check_views ~incremental_views state =

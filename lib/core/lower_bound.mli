@@ -226,5 +226,9 @@ val truncated_verdict : cache -> rounds:int -> [ `Certified | `Refuted ]
 val boundary :
   delta:int -> truncate_max:int -> [ `Greedy | `Proposal ] -> (int * int) list
 
+(** P3 of the construction: ignoring loops, the graph is a tree. An
+    edge count plus a connectivity walk over the dart CSR. *)
+val is_tree_plus_loops : Ld_models.Ec.t -> bool
+
 val pp_certificate : Format.formatter -> certificate -> unit
 val pp_failure : Format.formatter -> failure -> unit

@@ -3,7 +3,7 @@ module Po = Ld_models.Po
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
 module Po_fm = Ld_fm.Po_fm
-module View_po = Ld_cover.View_po
+module View = Ld_cover.View
 module Tree_order = Ld_order.Tree_order
 module Packing = Ld_matching.Packing
 module Po_packing = Ld_matching.Po_packing
@@ -36,12 +36,12 @@ type ordered_view = { ov_graph : Po.t; ov_root : int; ov_rank : int array }
 
 let address_of_path path =
   List.map
-    (fun (k : View_po.key) -> { Tree_order.fwd = k.out; colour = k.colour })
+    (fun k -> { Tree_order.fwd = Po.key_is_out k; colour = Po.key_colour k })
     path
 
 let ordered_view g v ~radius =
-  let view = View_po.of_po g v ~radius in
-  let po, index = View_po.to_po view in
+  let view = View.of_po g v ~radius in
+  let po, index = View.to_po view in
   let nodes = List.map (fun (path, id) -> (id, address_of_path path)) index in
   let sorted =
     List.sort (fun (_, a) (_, b) -> Tree_order.compare a b) nodes
@@ -62,10 +62,8 @@ let root_children ov =
   List.map
     (fun dart ->
       match dart with
-      | Po.Out { neighbour; colour; _ } ->
-        ({ View_po.out = true; colour }, neighbour)
-      | Po.In { neighbour; colour; _ } ->
-        ({ View_po.out = false; colour }, neighbour)
+      | Po.Out { neighbour; _ } | Po.In { neighbour; _ } ->
+        (Po.dart_key dart, neighbour)
       | Po.Loop_out _ | Po.Loop_in _ ->
         assert false (* the materialised view tree is loop-free *))
     (Po.darts ov.ov_graph ov.ov_root)
@@ -99,8 +97,8 @@ let po_of_oi rule : Po_packing.algorithm =
           Array.of_list
             (List.map
                (fun (a : Po.arc) ->
-                 let wt = weight_at a.tail { View_po.out = true; colour = a.colour } in
-                 let wh = weight_at a.head { View_po.out = false; colour = a.colour } in
+                 let wt = weight_at a.tail (Po.key ~out:true a.colour) in
+                 let wh = weight_at a.head (Po.key ~out:false a.colour) in
                  if not (Q.equal wt wh) then
                    failwith
                      (rule.oi_name
@@ -113,8 +111,8 @@ let po_of_oi rule : Po_packing.algorithm =
           Array.of_list
             (List.map
                (fun (l : Po.loop) ->
-                 let wo = weight_at l.node { View_po.out = true; colour = l.colour } in
-                 let wi = weight_at l.node { View_po.out = false; colour = l.colour } in
+                 let wo = weight_at l.node (Po.key ~out:true l.colour) in
+                 let wi = weight_at l.node (Po.key ~out:false l.colour) in
                  if not (Q.equal wo wi) then
                    failwith
                      (rule.oi_name ^ ": loop dart answers disagree — not \

@@ -1,7 +1,7 @@
 module Ec = Ld_models.Ec
 
 let factor g =
-  let cls = Refinement.stable_partition_ec g in
+  let cls = Refinement.stable_partition (Ec.dart_csr g) in
   let num_classes =
     Array.fold_left (fun acc c -> Stdlib.max acc (c + 1)) 0 cls
   in
@@ -26,5 +26,5 @@ let factor g =
   (fg, cls)
 
 let is_own_factor g =
-  let cls = Refinement.stable_partition_ec g in
+  let cls = Refinement.stable_partition (Ec.dart_csr g) in
   List.length (List.sort_uniq Int.compare (Array.to_list cls)) = Ec.n g

@@ -1,18 +1,14 @@
 module Ec = Ld_models.Ec
-module Po = Ld_models.Po
+module Darts = Ld_models.Dart_csr
 module Obs = Ld_obs.Obs
 
 type history = int array array
 
 (* Metrics of the partition-refinement path (DESIGN.md § Observability):
    rounds actually computed vs skipped by the stabilisation early-exit,
-   block split events, and the interning behaviour inside splits.
-   [descriptors_sorted] counts per-node descriptor sorts and therefore
-   stays at zero on the default path — only the reference oracle sorts;
-   CI guards on exactly that. *)
+   block split events, and the interning behaviour inside splits. *)
 let c_rounds = Obs.Counter.make "cover.refine.rounds"
 let c_rounds_skipped = Obs.Counter.make "cover.refine.rounds_skipped"
-let c_descriptors = Obs.Counter.make "cover.refine.descriptors_sorted"
 let c_intern_hits = Obs.Counter.make "cover.refine.intern_hits"
 let c_intern_misses = Obs.Counter.make "cover.refine.intern_misses"
 let c_blocks_split = Obs.Counter.make "cover.refine.blocks_split"
@@ -52,134 +48,33 @@ module Stats = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Reference path: generic refinement over a dart structure given as
-   closures producing (key, other end) lists. Labels are interned per
-   round so that equal labels mean structurally identical descriptors.
-   Kept verbatim as the differential-testing oracle for the partition
-   refinement below (exposed through [~reference:true]); it is the only
-   path that sorts descriptors, which is what [descriptors_sorted]
-   meters. *)
-
-(* Lexicographic on int pairs: same order as the polymorphic compare the
-   reference path historically used, so interned labels are unchanged. *)
-let pair_compare (a1, a2) (b1, b2) =
-  let c = Int.compare a1 b1 in
-  if c <> 0 then c else Int.compare a2 b2
-
-let refine_generic_reference ~n ~(darts : int -> (int * int) list) ~rounds =
-  let history = Array.make (rounds + 1) [||] in
-  history.(0) <- Array.make n 0;
-  for r = 1 to rounds do
-    let prev = history.(r - 1) in
-    let intern : ((int * (int * int) list), int) Hashtbl.t = Hashtbl.create (2 * n) in
-    let next = Array.make n 0 in
-    for v = 0 to n - 1 do
-      let descriptor =
-        ( prev.(v),
-          List.sort pair_compare (List.map (fun (k, u) -> (k, prev.(u))) (darts v)) )
-      in
-      let label =
-        match Hashtbl.find_opt intern descriptor with
-        | Some l -> l
-        | None ->
-          let l = Hashtbl.length intern in
-          Hashtbl.add intern descriptor l;
-          l
-      in
-      next.(v) <- label
-    done;
-    history.(r) <- next;
-    Obs.Counter.incr c_rounds;
-    Obs.Counter.add c_descriptors n
-  done;
-  history
-
-let ec_darts g v =
-  List.map
-    (function
-      | Ec.To_neighbour { neighbour; colour; _ } -> (colour, neighbour)
-      | Ec.Into_loop { colour; _ } -> (colour, v))
-    (Ec.darts g v)
-
-let po_darts g v =
-  List.map
-    (function
-      | Po.Out { neighbour; colour; _ } -> ((colour * 2) + 0, neighbour)
-      | Po.In { neighbour; colour; _ } -> ((colour * 2) + 1, neighbour)
-      | Po.Loop_out { colour; _ } -> ((colour * 2) + 0, v)
-      | Po.Loop_in { colour; _ } -> ((colour * 2) + 1, v))
-    (Po.darts g v)
-
-(* ------------------------------------------------------------------ *)
-(* Flat dart view shared by both models. The per-node dart segments are
-   in ascending key order with all keys distinct (EC enforces a proper
+(* The dart CSR is shared by both models. Per-node dart segments are in
+   ascending key order with all keys distinct (EC enforces a proper
    colouring including loops; PO enforces properness per direction and
-   the key [2 * colour + dir] separates directions by parity), so the
-   fixed segment order IS the lexicographically sorted descriptor order:
-   no per-round sort is ever needed. *)
+   its key carries the direction), so the fixed segment order IS the
+   lexicographically sorted descriptor order: no per-round sort is ever
+   needed. *)
 
-type flat = {
-  fn : int;
-  frow : int array; (* length fn + 1 *)
-  fkey : int array; (* dart keys, ascending within each node segment *)
-  fother : int array; (* node at the dart's far end; self for loops *)
-}
-
-let flat_ec g =
-  let c = Ec.csr g in
-  (* EC CSR segments are already colour-ascending: share the arrays. *)
-  { fn = Ec.n g; frow = c.Ec.row; fkey = c.Ec.colour; fother = c.Ec.other }
-
-let flat_po g =
-  let c = Po.csr g in
-  let n = Po.n g in
-  let row = c.Po.row in
-  let m = row.(n) in
-  let key = Array.make m 0 and oth = Array.make m 0 in
-  (* A PO segment is two ascending runs — out darts (even keys) then in
-     darts (odd keys). One merge pass per node makes the whole segment
-     key-ascending; this happens once per graph, not once per round. *)
-  for v = 0 to n - 1 do
-    let lo = row.(v) and hi = row.(v + 1) in
-    let b = ref lo in
-    while !b < hi && c.Po.dir.(!b) = 0 do
-      incr b
-    done;
-    let i = ref lo and j = ref !b and t = ref lo in
-    while !i < !b || !j < hi do
-      let take_out =
-        !j >= hi
-        || (!i < !b && c.Po.colour.(!i) * 2 < (c.Po.colour.(!j) * 2) + 1)
-      in
-      let d = if take_out then !i else !j in
-      if take_out then incr i else incr j;
-      key.(!t) <- (c.Po.colour.(d) * 2) + c.Po.dir.(d);
-      oth.(!t) <- c.Po.other.(d);
-      incr t
-    done
-  done;
-  { fn = n; frow = row; fkey = key; fother = oth }
-
-(* Disjoint union on flat views: pure array blits with an offset — no
+(* Disjoint union of dart views: pure array blits with an offset — no
    [Ec.t] is materialised (no dart lists, no validation, no sorting).
    This is what [equivalent_radius] refines. *)
-let flat_union a b =
-  let n = a.fn + b.fn in
-  let ma = a.frow.(a.fn) and mb = b.frow.(b.fn) in
-  let row = Array.make (n + 1) 0 in
-  Array.blit a.frow 0 row 0 (a.fn + 1);
-  for j = 1 to b.fn do
-    row.(a.fn + j) <- ma + b.frow.(j)
+let union (a : Darts.t) (b : Darts.t) =
+  let na = Darts.n a and nb = Darts.n b in
+  let ma = a.row.(na) and mb = b.row.(nb) in
+  let row = Array.make (na + nb + 1) 0 in
+  Array.blit a.row 0 row 0 (na + 1);
+  for j = 1 to nb do
+    row.(na + j) <- ma + b.row.(j)
   done;
   let key = Array.make (ma + mb) 0 in
-  Array.blit a.fkey 0 key 0 ma;
-  Array.blit b.fkey 0 key ma mb;
-  let oth = Array.make (ma + mb) 0 in
-  Array.blit a.fother 0 oth 0 ma;
+  Array.blit a.key 0 key 0 ma;
+  Array.blit b.key 0 key ma mb;
+  let other = Array.make (ma + mb) 0 in
+  Array.blit a.other 0 other 0 ma;
   for d = 0 to mb - 1 do
-    oth.(ma + d) <- b.fother.(d) + a.fn
+    other.(ma + d) <- b.other.(d) + na
   done;
-  { fn = n; frow = row; fkey = key; fother = oth }
+  { Darts.row; key; other }
 
 module Descriptor = struct
   type t = int array
@@ -223,11 +118,12 @@ module Intern = Hashtbl.Make (Descriptor)
    queries the partition after {e exactly} r rounds (radius-r view
    isomorphism, paper §3.1). The engine therefore stays round-
    synchronous and the per-round partitions coincide label-for-label
-   with the reference oracle after the dense relabelling pass. *)
+   with the list-based oracle in [Ld_check] after the dense relabelling
+   pass. *)
 
 type engine = {
-  fl : flat;
-  stride : int; (* fn + 1: labels fit under it, codes pack as key * stride + label *)
+  fl : Darts.t;
+  stride : int; (* n + 1: labels fit under it, codes pack as key * stride + label *)
   ids : int array; (* current block id per node *)
   ids_prev : int array; (* snapshot taken at the top of each round *)
   elems : int array; (* nodes grouped by block: one contiguous slice each *)
@@ -244,7 +140,7 @@ type engine = {
   dirty : int array;
   mutable ndirty : int;
   (* Scratch reused across rounds (all indexed within one block slice
-     or by group index, both bounded by fn). *)
+     or by group index, both bounded by n). *)
   gidx : int array;
   member : int array;
   gcount : int array;
@@ -256,7 +152,7 @@ type engine = {
 }
 
 let engine_create fl =
-  let n = fl.fn in
+  let n = Darts.n fl in
   let sz = Stdlib.max 1 n in
   {
     fl;
@@ -287,8 +183,8 @@ let engine_create fl =
 (* One refinement round. [r] must increase strictly across calls on the
    same engine (it doubles as the dirty stamp). *)
 let engine_round_body eng r =
-  let n = eng.fl.fn in
-  let row = eng.fl.frow and key = eng.fl.fkey and other = eng.fl.fother in
+  let n = Darts.n eng.fl in
+  let row = eng.fl.row and key = eng.fl.key and other = eng.fl.other in
   let stride = eng.stride in
   Array.blit eng.ids 0 eng.ids_prev 0 n;
   let prev = eng.ids_prev in
@@ -420,11 +316,11 @@ let engine_round_body eng r =
 let engine_round eng r = Ld_obs.Hist.timed h_round (fun () -> engine_round_body eng r)
 
 (* Internal ids densified by first occurrence in node order — exactly
-   the label discipline of the reference oracle, so histories match
+   the label discipline of the list-based oracle, so histories match
    label-for-label, not merely partition-for-partition. [stamp] must be
    unused by earlier relabel passes on this engine; round numbers are. *)
 let engine_dense eng stamp =
-  let n = eng.fl.fn in
+  let n = Darts.n eng.fl in
   let out = Array.make n 0 in
   let k = ref 0 in
   for v = 0 to n - 1 do
@@ -438,8 +334,8 @@ let engine_dense eng stamp =
   done;
   out
 
-let refine_flat fl ~rounds =
-  let n = fl.fn in
+let refine_body fl ~rounds =
+  let n = Darts.n fl in
   let history = Array.make (rounds + 1) [||] in
   history.(0) <- Array.make n 0;
   if n > 0 && rounds > 0 then begin
@@ -465,17 +361,8 @@ let refine_flat fl ~rounds =
   end;
   history
 
-let refine_ec ?(reference = false) g ~rounds =
-  if reference then
-    refine_generic_reference ~n:(Ec.n g) ~darts:(ec_darts g) ~rounds
-  else
-    Obs.with_span "cover.refine.ec" (fun () -> refine_flat (flat_ec g) ~rounds)
-
-let refine_po ?(reference = false) g ~rounds =
-  if reference then
-    refine_generic_reference ~n:(Po.n g) ~darts:(po_darts g) ~rounds
-  else
-    Obs.with_span "cover.refine.po" (fun () -> refine_flat (flat_po g) ~rounds)
+let refine fl ~rounds =
+  Obs.with_span "cover.refine.run" (fun () -> refine_body fl ~rounds)
 
 (* Equivalence queries need no label history at all: two nodes are
    round-r equivalent iff they sit in the same block after r rounds, and
@@ -501,15 +388,15 @@ let query_equivalent fl u v ~radius =
 
 let equivalent_radius g u h v ~radius =
   Obs.with_span "cover.refine.equivalent_radius" (fun () ->
-      let union = flat_union (flat_ec g) (flat_ec h) in
-      query_equivalent union u (Ec.n g + v) ~radius)
+      let u' = union (Ec.dart_csr g) (Ec.dart_csr h) in
+      query_equivalent u' u (Ec.n g + v) ~radius)
 
 let first_distinguishing_radius g u h v ~max_radius =
-  let union = flat_union (flat_ec g) (flat_ec h) in
+  let gh = union (Ec.dart_csr g) (Ec.dart_csr h) in
   let v = Ec.n g + v in
   if u = v || max_radius < 1 then None
   else begin
-    let eng = engine_create union in
+    let eng = engine_create gh in
     let r = ref 1 and answer = ref None and scanning = ref true in
     while !scanning do
       engine_round eng !r;
@@ -527,8 +414,9 @@ let first_distinguishing_radius g u h v ~max_radius =
 (* Refine to a fixpoint: iterate until a round splits nothing. Each
    splitting round grows the block count, so this terminates within n
    rounds. *)
-let stable_flat fl =
-  let n = fl.fn in
+let stable_partition fl =
+  Obs.with_span "cover.refine.stable_partition" @@ fun () ->
+  let n = Darts.n fl in
   if n = 0 then [||]
   else begin
     let eng = engine_create fl in
@@ -539,11 +427,3 @@ let stable_flat fl =
     done;
     engine_dense eng (!r + 1)
   end
-
-let stable_partition_ec g =
-  Obs.with_span "cover.refine.stable_partition" (fun () ->
-      stable_flat (flat_ec g))
-
-let stable_partition_po g =
-  Obs.with_span "cover.refine.stable_partition" (fun () ->
-      stable_flat (flat_po g))

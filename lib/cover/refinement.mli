@@ -34,28 +34,22 @@ module Stats : sig
   val since : t -> t
 end
 
-(** [refine_ec g ~rounds] runs refinement on an EC multigraph.
+(** [refine darts ~rounds] runs refinement on the dart view of an EC
+    ([Ec.dart_csr]) or PO ([Po.dart_csr]) multigraph; PO dart keys carry
+    the direction, so orientation is respected.
 
-    The default implementation is round-synchronous Paige–Tarjan
-    partition refinement on the graph's cached CSR dart view: a round
-    re-examines only the blocks whose members (or their neighbours)
-    changed block in the previous round, a split keeps the parent id on
-    the largest sub-block so only the smaller parts propagate dirtiness
-    (each node changes id O(log n) times), and per-node descriptors are
-    read off in the CSR segment's fixed key-ascending order — keys are
-    distinct within a node, so that order is already canonical and
-    nothing is ever sorted ([cover.refine.descriptors_sorted] stays 0).
-    A dense relabelling pass per round reproduces the reference label
-    discipline exactly. [~reference:true] selects the original
-    list-based, sort-per-node implementation; both produce {e identical}
-    label arrays (a tested invariant), the reference path just does so
-    slowly. *)
-val refine_ec : ?reference:bool -> Ld_models.Ec.t -> rounds:int -> history
-
-(** [refine_po g ~rounds] runs refinement on a PO multigraph; dart keys
-    carry the direction, so orientation is respected. [?reference] as in
-    {!refine_ec}. *)
-val refine_po : ?reference:bool -> Ld_models.Po.t -> rounds:int -> history
+    The implementation is round-synchronous Paige–Tarjan partition
+    refinement: a round re-examines only the blocks whose members (or
+    their neighbours) changed block in the previous round, a split
+    keeps the parent id on the largest sub-block so only the smaller
+    parts propagate dirtiness (each node changes id O(log n) times), and
+    per-node descriptors are read off in the CSR segment's fixed
+    key-ascending order — keys are distinct within a node, so that order
+    is already canonical and nothing is ever sorted. A dense relabelling
+    pass per round reproduces the label discipline of the list-based
+    oracle in [Ld_check] exactly: both produce {e identical} label
+    arrays (a tested invariant). *)
+val refine : Ld_models.Dart_csr.t -> rounds:int -> history
 
 (** [equivalent_radius g u h v ~radius] decides
     [τ_radius(UG, u) ≅ τ_radius(UH, v)] for EC graphs. *)
@@ -67,9 +61,7 @@ val equivalent_radius :
 val first_distinguishing_radius :
   Ld_models.Ec.t -> int -> Ld_models.Ec.t -> int -> max_radius:int -> int option
 
-(** [stable_partition_ec g] refines to a fixpoint and returns the class
+(** [stable_partition darts] refines to a fixpoint and returns the class
     of every node (classes numbered densely from 0). Nodes in the same
     class have isomorphic universal-cover views of every radius. *)
-val stable_partition_ec : Ld_models.Ec.t -> int array
-
-val stable_partition_po : Ld_models.Po.t -> int array
+val stable_partition : Ld_models.Dart_csr.t -> int array

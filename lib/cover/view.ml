@@ -1,4 +1,6 @@
 module Ec = Ld_models.Ec
+module Po = Ld_models.Po
+module Darts = Ld_models.Dart_csr
 module Obs = Ld_obs.Obs
 
 type t = { tag : int; branches : (int * t) list }
@@ -7,10 +9,10 @@ let c_cons_hits = Obs.Counter.make "cover.view.cons_hits"
 
 (* ------------------------------------------------------------------ *)
 (* Global hash-cons arena. A view's identity is its branch list with
-   children taken by tag; because branches are built in ascending
-   colour order with distinct colours, the list is canonical and two
-   isomorphic views always cons to the same node. The arena is shared
-   across graphs, levels and deltas for the lifetime of the process, so
+   children taken by tag; because branches are built in ascending key
+   order with distinct keys, the list is canonical and two isomorphic
+   views always cons to the same node. The arena is shared across
+   graphs, levels and deltas for the lifetime of the process, so
    equality is a single tag comparison. A mutex serialises consing —
    views are built off the refinement hot path, sharing matters more
    than lock-free speed here. *)
@@ -44,8 +46,8 @@ let next_tag = ref 0
 let cons branches =
   let key = Array.make (2 * List.length branches) 0 in
   List.iteri
-    (fun i (c, child) ->
-      key.(2 * i) <- c;
+    (fun i (k, child) ->
+      key.(2 * i) <- k;
       key.((2 * i) + 1) <- child.tag)
     branches;
   Mutex.protect arena_mutex (fun () ->
@@ -59,45 +61,43 @@ let cons branches =
         Arena.add arena key v;
         v)
 
-let banned_is banned colour =
-  match banned with Some c -> c = colour | None -> false
-
-(* Memoised over (node, banned colour, depth) within one call: the
-   universal cover repeats subtrees massively (every visit to [v] with
-   the same entry colour and remaining depth unfolds identically), so
-   the tree of size Δ^t is built in O(n · Δ · t) cons operations. *)
-let of_ec g root ~radius =
-  if radius < 0 then invalid_arg "View.of_ec: negative radius";
-  (* banned is [None] or an edge colour >= 1; encode as 0 / colour. *)
-  let csr = Ec.csr g in
-  let maxc = Array.fold_left Stdlib.max 0 csr.Ec.colour in
+(* Crossing dart [d] from [v] lands on [other.(d)], where the way back
+   has key [reverse key.(d)]: that dart is banned one level down. The
+   subtree is a function of the entry dart and the remaining depth, so
+   the memo is keyed on exactly that — the universal cover repeats
+   subtrees massively, and the tree of size Δ^t is built in
+   O(n · Δ · t) cons operations. *)
+let unfold ~reverse (dc : Darts.t) root ~radius =
+  if radius < 0 then invalid_arg "View: negative radius";
+  let { Darts.row; key; other } = dc in
+  let m = Array.length key in
   let memo : (int, t) Hashtbl.t = Hashtbl.create 64 in
-  let memo_key v banned depth =
-    let b = match banned with Some c -> c | None -> 0 in
-    ((v * (maxc + 1)) + b) * (radius + 1) + depth
-  in
-  let rec unfold v banned depth =
+  (* [slot] is the entry dart, or [m + v] at the root. *)
+  let rec go v banned slot depth =
     if depth = 0 then cons []
     else begin
-      let k = memo_key v banned depth in
-      match Hashtbl.find_opt memo k with
+      let mk = (slot * (radius + 1)) + depth in
+      match Hashtbl.find_opt memo mk with
       | Some t -> t
       | None ->
-        let follow dart =
-          match dart with
-          | Ec.To_neighbour { neighbour; colour; _ } ->
-            if banned_is banned colour then None
-            else Some (colour, unfold neighbour (Some colour) (depth - 1))
-          | Ec.Into_loop { colour; _ } ->
-            if banned_is banned colour then None
-            else Some (colour, unfold v (Some colour) (depth - 1))
-        in
-        let t = cons (List.filter_map follow (Ec.darts g v)) in
-        Hashtbl.add memo k t;
+        let branches = ref [] in
+        for d = row.(v) to row.(v + 1) - 1 do
+          let k = key.(d) in
+          if k <> banned then
+            branches := (k, go other.(d) (reverse k) d (depth - 1)) :: !branches
+        done;
+        let t = cons (List.rev !branches) in
+        Hashtbl.add memo mk t;
         t
     end
   in
-  unfold root None radius
+  (* Keys are >= 1, so -1 bans nothing. *)
+  go root (-1) (m + root) radius
+
+let of_ec g root ~radius = unfold ~reverse:Fun.id (Ec.dart_csr g) root ~radius
+
+let of_po g root ~radius =
+  unfold ~reverse:Po.reverse_key (Po.dart_csr g) root ~radius
 
 (* Hash-consing makes equality a tag comparison: same arena node iff
    structurally equal. *)
@@ -111,8 +111,8 @@ let rec compare_branches ba bb =
   | [], [] -> 0
   | [], _ :: _ -> -1
   | _ :: _, [] -> 1
-  | (ca, ta) :: ra, (cb, tb) :: rb ->
-    let c = Int.compare ca cb in
+  | (ka, ta) :: ra, (kb, tb) :: rb ->
+    let c = Int.compare ka kb in
     if c <> 0 then c
     else begin
       let c = if ta.tag = tb.tag then 0 else compare_branches ta.branches tb.branches in
@@ -126,36 +126,77 @@ let rec size v = 1 + List.fold_left (fun acc (_, t) -> acc + size t) 0 v.branche
 let rec depth v =
   List.fold_left (fun acc (_, t) -> Stdlib.max acc (1 + depth t)) 0 v.branches
 
-let branch v c = List.assoc_opt c v.branches
+let branch v k = List.assoc_opt k v.branches
+
+(* Materialise a view depth-first, numbering nodes in visit order from
+   the root (0) and handing each tree edge (parent, child, key) to
+   [edge]. [order] fixes the visiting order of a node's branches;
+   returns the node count and each node's step word from the root. *)
+let materialise ~order ~edge view =
+  let counter = ref 1 in
+  let index = ref [ ([], 0) ] in
+  let rec walk prefix v id =
+    List.iter
+      (fun (k, sub) ->
+        let child = !counter in
+        incr counter;
+        edge id child k;
+        index := (List.rev (k :: prefix), child) :: !index;
+        walk (k :: prefix) sub child)
+      (order v.branches)
+  in
+  walk [] view 0;
+  (!counter, List.rev !index)
 
 let to_ec view =
-  let counter = ref 0 in
   let edges = ref [] in
-  let fresh () =
-    let id = !counter in
-    incr counter;
-    id
+  let n, _ =
+    materialise ~order:Fun.id
+      ~edge:(fun u v colour -> edges := (u, v, colour) :: !edges)
+      view
   in
-  let rec walk v id =
-    List.iter
-      (fun (colour, sub) ->
-        let child = fresh () in
-        edges := (id, child, colour) :: !edges;
-        walk sub child)
-      v.branches
-  in
-  let root = fresh () in
-  walk view root;
-  Ec.create ~n:!counter ~edges:!edges ~loops:[]
+  Ec.create ~n ~edges:!edges ~loops:[]
 
-let rec pp fmt v =
-  if v.branches = [] then Format.pp_print_string fmt "."
-  else begin
-    Format.fprintf fmt "(";
-    List.iteri
-      (fun i (c, sub) ->
-        if i > 0 then Format.fprintf fmt " ";
-        Format.fprintf fmt "%d:%a" c pp sub)
-      v.branches;
-    Format.fprintf fmt ")"
-  end
+let pp_with ~order ~pp_key fmt view =
+  let rec pp fmt v =
+    if v.branches = [] then Format.pp_print_string fmt "."
+    else begin
+      Format.fprintf fmt "(";
+      List.iteri
+        (fun i (k, sub) ->
+          if i > 0 then Format.fprintf fmt " ";
+          Format.fprintf fmt "%a:%a" pp_key k pp sub)
+        (order v.branches);
+      Format.fprintf fmt ")"
+    end
+  in
+  pp fmt view
+
+let pp = pp_with ~order:Fun.id ~pp_key:Format.pp_print_int
+
+(* PO views walk in-darts before out-darts, each by colour. *)
+let in_first branches =
+  let outs, ins = List.partition (fun (k, _) -> Po.key_is_out k) branches in
+  ins @ outs
+
+let paths view =
+  snd (materialise ~order:in_first ~edge:(fun _ _ _ -> ()) view)
+  |> List.map fst
+
+let to_po view =
+  let arcs = ref [] in
+  let n, index =
+    materialise ~order:in_first
+      ~edge:(fun parent child k ->
+        let colour = Po.key_colour k in
+        if Po.key_is_out k then arcs := (parent, child, colour) :: !arcs
+        else arcs := (child, parent, colour) :: !arcs)
+      view
+  in
+  (Po.create ~n ~arcs:(List.rev !arcs) ~loops:[], index)
+
+let pp_po =
+  pp_with ~order:in_first ~pp_key:(fun fmt k ->
+      Format.fprintf fmt "%s%d"
+        (if Po.key_is_out k then "+" else "-")
+        (Po.key_colour k))

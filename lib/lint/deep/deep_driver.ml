@@ -40,7 +40,7 @@ let rules_meta =
        prints the chain." );
     ( "deep-domain-safety",
       Diagnostic.Error,
-      "A closure or function passed to Ld_core.Pool.map / Domain.spawn \
+      "A closure or function passed to Ld_pool.Pool.map / Domain.spawn \
        transitively mutates state shared across domains (possibly \
        several calls down)." );
     ( "deep-machine-purity",

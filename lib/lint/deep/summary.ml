@@ -36,7 +36,7 @@ type direct = {
 type call = { c_callee : string; c_loc : loc (* callee = dotted key *) }
 
 type fn = {
-  f_key : string; (* canonical dotted key, e.g. "Ld_core.Pool.map" *)
+  f_key : string; (* canonical dotted key, e.g. "Ld_pool.Pool.map" *)
   f_display : string; (* short name used in diagnostic prose *)
   f_entry : entry_kind;
   f_loc : loc;
@@ -55,7 +55,7 @@ type entry_ref = {
 }
 
 type t = {
-  u_name : string; (* unit name as in the cmt, e.g. "Ld_core__Pool" *)
+  u_name : string; (* unit name as in the cmt, e.g. "Ld_pool__Pool" *)
   u_source : string; (* source path relative to the repo root, or "" *)
   u_fns : fn list;
   u_refs : entry_ref list;

@@ -435,7 +435,7 @@ let domain_safety_rule =
     id;
     severity = Diagnostic.Error;
     doc =
-      "A closure passed to Ld_core.Pool.map / Domain.spawn writes to \
+      "A closure passed to Ld_pool.Pool.map / Domain.spawn writes to \
        mutable state captured from the enclosing scope (ref, array, \
        Hashtbl, record field) without Atomic/Domain.DLS: a data race \
        under the multicore fan-out. State created inside the task body \

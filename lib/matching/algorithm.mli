@@ -8,7 +8,7 @@ type kind = Executor_backed | Opaque
 
 type t = { name : string; run : Ld_models.Ec.t -> Ld_fm.Fm.t; kind : kind }
 
-(** [executor_backed ~name run] — [run] must be [Anon_ec.run] of a
+(** [executor_backed ~name run] — [run] must be [Anon.run] of a
     machine followed by a per-dart decode, for a round count that is a
     lift-invariant function of the graph. *)
 val executor_backed : name:string -> (Ld_models.Ec.t -> Ld_fm.Fm.t) -> t

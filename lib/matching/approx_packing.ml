@@ -1,7 +1,7 @@
 module Ec = Ld_models.Ec
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
-module Anon = Ld_runtime.Anon_ec
+module Anon = Ld_runtime.Anon
 
 let approximation_bound = Q.of_ints 1 4
 
@@ -18,7 +18,8 @@ let node_weight s =
 let machine ~k : (state, bool) Anon.machine =
   {
     init =
-      (fun ~degree ~colours ->
+      (fun ~keys:colours ->
+        let degree = List.length colours in
         let w = Q.div Q.one (Q.of_int (1 lsl k)) in
         {
           (* already half-saturated by the uniform start? *)
@@ -36,7 +37,7 @@ let machine ~k : (state, bool) Anon.machine =
           List.map
             (fun (c, w) ->
               let their_frozen =
-                Option.value ~default:false (Anon.Inbox.find inbox ~colour:c)
+                Option.value ~default:false (Anon.Inbox.find inbox ~key:c)
               in
               if s.frozen || their_frozen then (c, w) else (c, Q.add w w))
             s.dart_w
@@ -52,7 +53,7 @@ let run ~delta g =
   let rec log2_ceil k = if 1 lsl k >= delta then k else log2_ceil (k + 1) in
   let k = log2_ceil 0 in
   let rounds = k + 1 in
-  let states = Anon.run (machine ~k) ~rounds g in
+  let states = Anon.run (machine ~k) ~rounds (Anon.Ec g) in
   let weight_at v c =
     Option.value ~default:Q.zero (List.assoc_opt c states.(v).dart_w)
   in

@@ -1,5 +1,5 @@
 module Ec = Ld_models.Ec
-module Anon = Ld_runtime.Anon_ec
+module Anon = Ld_runtime.Anon
 
 type state = {
   phase : int;
@@ -17,14 +17,14 @@ type result = {
 let machine : (state, bool) Anon.machine =
   {
     init =
-      (fun ~degree:_ ~colours ->
-        { phase = 1; matched = None; last = List.fold_left Stdlib.max 0 colours });
+      (fun ~keys ->
+        { phase = 1; matched = None; last = List.fold_left Stdlib.max 0 keys });
     (* A node announces whether it is still unmatched. *)
     send = (fun s -> s.matched = None);
     recv =
       (fun s inbox ->
         let s =
-          match (s.matched, Anon.Inbox.find inbox ~colour:s.phase) with
+          match (s.matched, Anon.Inbox.find inbox ~key:s.phase) with
           | None, Some true -> { s with matched = Some s.phase }
           | _ -> s
         in
@@ -40,7 +40,7 @@ let greedy ?truncate g =
       if r < 0 then invalid_arg "Mm_ec.greedy: negative truncation";
       Stdlib.min r (Ec.max_colour g)
   in
-  let states = Anon.run machine ~rounds g in
+  let states = Anon.run machine ~rounds (Anon.Ec g) in
   let matched_colour = Array.map (fun s -> s.matched) states in
   let matched_with v c =
     match matched_colour.(v) with Some c' -> c' = c | None -> false

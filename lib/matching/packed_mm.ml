@@ -37,7 +37,7 @@ let machine : Packed.Broadcast.machine =
         let phase = st.(b + off_phase) in
         if st.(b + off_matched) < 0 then begin
           (* Binary search the colour-sorted segment for the phase
-             colour, as [Anon_ec.Inbox.find] does. *)
+             colour, as [Anon.Inbox.find] does. *)
           let lo = ref csr.Ec.row.(node) and hi = ref csr.Ec.row.(node + 1) in
           let found = ref (-1) in
           while !found < 0 && !lo < !hi do

@@ -1,7 +1,7 @@
 module Ec = Ld_models.Ec
 module Q = Ld_arith.Q
 module Fm = Ld_fm.Fm
-module Anon = Ld_runtime.Anon_ec
+module Anon = Ld_runtime.Anon
 module Obs = Ld_obs.Obs
 
 (* Shared extraction: both machines accumulate, per node, the weight
@@ -36,12 +36,12 @@ type greedy_state = {
 let greedy_machine : (greedy_state, Q.t) Anon.machine =
   {
     init =
-      (fun ~degree:_ ~colours ->
+      (fun ~keys ->
         {
           g_phase = 1;
           g_slack = Q.one;
           g_weights = [];
-          g_last = List.fold_left Stdlib.max 0 colours;
+          g_last = List.fold_left Stdlib.max 0 keys;
         });
     send = (fun s -> s.g_slack);
     recv =
@@ -49,7 +49,7 @@ let greedy_machine : (greedy_state, Q.t) Anon.machine =
         let s =
           (* Phase c reads exactly the colour-c dart: one lazy-inbox
              lookup, not a degree-length scan. *)
-          match Anon.Inbox.find inbox ~colour:s.g_phase with
+          match Anon.Inbox.find inbox ~key:s.g_phase with
           | None -> s
           | Some their_slack ->
             let w = Q.min s.g_slack their_slack in
@@ -74,7 +74,7 @@ let greedy_by_colour ?truncate g =
       if r < 0 then invalid_arg "Packing.greedy_by_colour: negative truncation";
       Stdlib.min r (greedy_rounds g)
   in
-  let states = Anon.run greedy_machine ~rounds g in
+  let states = Anon.run greedy_machine ~rounds (Anon.Ec g) in
   fm_of_weights g (fun v c ->
       match List.assoc_opt c states.(v).g_weights with
       | Some w -> w
@@ -109,14 +109,14 @@ let with_offer s = { s with p_offer = my_offer s }
 let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
   {
     init =
-      (fun ~degree:_ ~colours ->
+      (fun ~keys ->
         with_offer
           {
             p_slack = Q.one;
             p_offer = Q.zero;
             p_dead = [];
             p_weights = [];
-            p_colours = colours;
+            p_colours = keys;
           });
     send = (fun s -> { p_offer = s.p_offer; p_sat = Q.is_zero s.p_slack });
     recv =
@@ -130,7 +130,7 @@ let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
           let rec go i acc =
             if i >= d then List.rev acc
             else begin
-              let c = Anon.Inbox.colour inbox i in
+              let c = Anon.Inbox.key inbox i in
               if List.mem c s.p_dead then go (i + 1) acc
               else
                 go (i + 1)
@@ -158,7 +158,7 @@ let proposal_machine : (proposal_state, proposal_msg) Anon.machine =
               (not (List.mem c s.p_dead))
               && (i_am_sat || now_sat
                  ||
-                 match Anon.Inbox.find inbox ~colour:c with
+                 match Anon.Inbox.find inbox ~key:c with
                  | Some m -> m.p_sat
                  | None -> false))
             s.p_colours
@@ -176,10 +176,10 @@ let proposal ?truncate g =
     | None ->
       (* The globally minimal offerer saturates every round, so n + 2
          rounds always suffice; the +2 covers the death-notification lag. *)
-      Anon.run_until proposal_machine ~max_rounds:(Ec.n g + 2) g
+      Anon.run_until proposal_machine ~max_rounds:(Ec.n g + 2) (Anon.Ec g)
     | Some r ->
       if r < 0 then invalid_arg "Packing.proposal: negative truncation";
-      (Anon.run proposal_machine ~rounds:r g, r)
+      (Anon.run proposal_machine ~rounds:r (Anon.Ec g), r)
   in
   let fm =
     fm_of_weights g (fun v c ->

@@ -40,7 +40,7 @@ val proposal : ?truncate:int -> Ld_models.Ec.t -> Ld_fm.Fm.t * int
 (** How the lower-bound engine obtains an algorithm's output on a
     2-lift of a graph it has already run on.
 
-    - [Executor_backed]: [run] is {!Ld_runtime.Anon_ec.run} of an
+    - [Executor_backed]: [run] is {!Ld_runtime.Anon.run} of an
       anonymous machine followed by a per-dart decode, for a round
       count that is a lift-invariant function of the graph (such as
       [Ec.max_colour]). Every node of a lift sees exactly what its

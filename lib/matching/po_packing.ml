@@ -1,16 +1,16 @@
 module Po = Ld_models.Po
 module Q = Ld_arith.Q
 module Po_fm = Ld_fm.Po_fm
-module Anon = Ld_runtime.Anon_po
+module Anon = Ld_runtime.Anon
 
 type msg = { m_offer : Q.t; m_sat : bool }
 
 type state = {
   slack : Q.t;
   offer : Q.t; (* cached [my_offer] of this state — see [with_offer] *)
-  dead : Anon.dart_key list;
-  weights : (Anon.dart_key * Q.t) list; (* cumulative, per dart *)
-  keys : Anon.dart_key list;
+  dead : Po.key list;
+  weights : (Po.key * Q.t) list; (* cumulative, per dart *)
+  keys : Po.key list;
 }
 
 let live_keys s = List.filter (fun k -> not (List.mem k s.dead)) s.keys
@@ -27,9 +27,8 @@ let with_offer s = { s with offer = my_offer s }
 let machine : (state, msg) Anon.machine =
   {
     init =
-      (fun ~darts ->
-        with_offer
-          { slack = Q.one; offer = Q.zero; dead = []; weights = []; keys = darts });
+      (fun ~keys ->
+        with_offer { slack = Q.one; offer = Q.zero; dead = []; weights = []; keys });
     send = (fun s -> { m_offer = s.offer; m_sat = Q.is_zero s.slack });
     recv =
       (fun s inbox ->
@@ -83,20 +82,20 @@ let machine : (state, msg) Anon.machine =
 let proposal ?truncate g =
   let states, rounds =
     match truncate with
-    | None -> Anon.run_until machine ~max_rounds:(Po.n g + 2) g
+    | None -> Anon.run_until machine ~max_rounds:(Po.n g + 2) (Anon.Po g)
     | Some r ->
       if r < 0 then invalid_arg "Po_packing.proposal: negative truncation";
-      (Anon.run machine ~rounds:r g, r)
+      (Anon.run machine ~rounds:r (Anon.Po g), r)
   in
-  let weight_at v (key : Anon.dart_key) =
+  let weight_at v key =
     Option.value ~default:Q.zero (List.assoc_opt key states.(v).weights)
   in
   let arc_w =
     Array.of_list
       (List.map
          (fun (a : Po.arc) ->
-           let wt = weight_at a.tail { out = true; colour = a.colour } in
-           let wh = weight_at a.head { out = false; colour = a.colour } in
+           let wt = weight_at a.tail (Po.key ~out:true a.colour) in
+           let wh = weight_at a.head (Po.key ~out:false a.colour) in
            assert (Q.equal wt wh);
            wt)
          (Po.arcs g))
@@ -105,8 +104,8 @@ let proposal ?truncate g =
     Array.of_list
       (List.map
          (fun (l : Po.loop) ->
-           let wo = weight_at l.node { out = true; colour = l.colour } in
-           let wi = weight_at l.node { out = false; colour = l.colour } in
+           let wo = weight_at l.node (Po.key ~out:true l.colour) in
+           let wi = weight_at l.node (Po.key ~out:false l.colour) in
            assert (Q.equal wo wi);
            wo)
          (Po.loops g))

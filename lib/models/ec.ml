@@ -34,7 +34,10 @@ type t = {
   loops : loop array Lazy.t;
   darts : dart list array Lazy.t; (* per node, sorted by colour *)
   csr : csr;
+  keyed : Dart_csr.t; (* shares [csr]'s arrays: the key is the colour *)
 }
+
+let keyed_of (c : csr) = { Dart_csr.row = c.row; key = c.colour; other = c.other }
 
 let dart_colour = function
   | To_neighbour { colour; _ } -> colour
@@ -98,6 +101,7 @@ let build n edges loops =
       check sorted;
       darts.(v) <- sorted)
     darts;
+  let csr = csr_of_darts n darts in
   {
     n;
     n_edges = Array.length edges;
@@ -105,7 +109,8 @@ let build n edges loops =
     edges = Lazy.from_val edges;
     loops = Lazy.from_val loops;
     darts = Lazy.from_val darts;
-    csr = csr_of_darts n darts;
+    csr;
+    keyed = keyed_of csr;
   }
 
 let validated n edges loops =
@@ -144,6 +149,7 @@ let edges g = Array.to_list (Lazy.force g.edges)
 let loops g = Array.to_list (Lazy.force g.loops)
 let darts g v = (Lazy.force g.darts).(v)
 let csr g = g.csr
+let dart_csr g = g.keyed
 
 (* Reconstruct the dart at CSR index [d]. *)
 let dart_at g d =
@@ -380,4 +386,13 @@ let of_csr (c : Ld_graph.Csr.t) =
                    colour = colour.(d);
                  })))
   in
-  { n; n_edges; n_loops = 0; edges; loops = Lazy.from_val [||]; darts; csr }
+  {
+    n;
+    n_edges;
+    n_loops = 0;
+    edges;
+    loops = Lazy.from_val [||];
+    darts;
+    csr;
+    keyed = keyed_of csr;
+  }

@@ -61,6 +61,10 @@ type csr = {
 
 val csr : t -> csr
 
+(** The model-independent dart view: {!csr}'s [row] and [other] with the
+    colour array as the dart key (shared, not copied). *)
+val dart_csr : t -> Dart_csr.t
+
 (** [dart_at g d] reconstructs the dart at CSR index [d]. *)
 val dart_at : t -> int -> dart
 

@@ -7,27 +7,23 @@ type dart =
   | Loop_out of { loop_id : int; colour : int }
   | Loop_in of { loop_id : int; colour : int }
 
-(* Flat CSR dart view, built once per graph and cached in the value.
-   Dart [d] of node [v] lives at [row.(v) .. row.(v+1)-1] in the same
-   order as the [darts] lists (out darts by colour, then in darts by
-   colour): [colour.(d)] is its colour, [dir.(d)] is 0 for an out dart
-   and 1 for an in dart, [other.(d)] the node at the far end (the node
-   itself for loops), and [code.(d)] the arc id, or [-loop_id - 1] for
-   a loop dart. Consumers must not mutate the arrays. *)
-type csr = {
-  row : int array;
-  colour : int array;
-  dir : int array;
-  other : int array;
-  code : int array;
-}
+(* Dart keys: the colour, with [in_flag] set on in-darts. Colours stay
+   below [in_flag], so out-keys (by colour) sort before in-keys (by
+   colour) — exactly the [darts] order. *)
+type key = int
+
+let in_flag = 1 lsl 30
+let key ~out colour = if out then colour else colour lor in_flag
+let key_is_out k = k land in_flag = 0
+let key_colour k = k land (in_flag - 1)
+let reverse_key k = k lxor in_flag
 
 type t = {
   n : int;
   arcs : arc array;
   loops : loop array;
   darts : dart list array; (* out darts by colour, then in darts by colour *)
-  csr : csr;
+  keyed : Dart_csr.t;
 }
 
 let dart_colour = function
@@ -38,45 +34,30 @@ let dart_is_out = function
   | Out _ | Loop_out _ -> true
   | In _ | Loop_in _ -> false
 
-let csr_of_darts n (darts : dart list array) =
+let dart_key d = key ~out:(dart_is_out d) (dart_colour d)
+
+(* Built once per graph and cached in the value. Segments follow the
+   [darts] lists, so keys ascend within each node. *)
+let keyed_of_darts n (darts : dart list array) =
   let row = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
     row.(v + 1) <- row.(v) + List.length darts.(v)
   done;
   let m = row.(n) in
-  let colour = Array.make m 0 in
-  let dir = Array.make m 0 in
+  let key = Array.make m 0 in
   let other = Array.make m 0 in
-  let code = Array.make m 0 in
   for v = 0 to n - 1 do
-    let d = ref row.(v) in
-    List.iter
-      (fun dart ->
-        (match dart with
-        | Out { neighbour; arc_id; colour = c } ->
-          colour.(!d) <- c;
-          dir.(!d) <- 0;
-          other.(!d) <- neighbour;
-          code.(!d) <- arc_id
-        | In { neighbour; arc_id; colour = c } ->
-          colour.(!d) <- c;
-          dir.(!d) <- 1;
-          other.(!d) <- neighbour;
-          code.(!d) <- arc_id
-        | Loop_out { loop_id; colour = c } ->
-          colour.(!d) <- c;
-          dir.(!d) <- 0;
-          other.(!d) <- v;
-          code.(!d) <- -loop_id - 1
-        | Loop_in { loop_id; colour = c } ->
-          colour.(!d) <- c;
-          dir.(!d) <- 1;
-          other.(!d) <- v;
-          code.(!d) <- -loop_id - 1);
-        incr d)
+    List.iteri
+      (fun i dart ->
+        let d = row.(v) + i in
+        key.(d) <- dart_key dart;
+        other.(d) <-
+          (match dart with
+          | Out { neighbour; _ } | In { neighbour; _ } -> neighbour
+          | Loop_out _ | Loop_in _ -> v))
       darts.(v)
   done;
-  { row; colour; dir; other; code }
+  { Dart_csr.row; key; other }
 
 let build n arcs loops =
   let outs = Array.make n [] and ins = Array.make n [] in
@@ -110,12 +91,15 @@ let build n arcs loops =
   for v = 0 to n - 1 do
     darts.(v) <- by_colour "outgoing" v outs.(v) @ by_colour "incoming" v ins.(v)
   done;
-  { n; arcs; loops; darts; csr = csr_of_darts n darts }
+  { n; arcs; loops; darts; keyed = keyed_of_darts n darts }
 
 let create ~n ~arcs ~loops =
   if n < 0 then invalid_arg "Po.create: negative n";
   let check_node v = if v < 0 || v >= n then invalid_arg "Po.create: node out of range" in
-  let check_colour c = if c < 1 then invalid_arg "Po.create: colours must be >= 1" in
+  let check_colour c =
+    if c < 1 || c >= in_flag then
+      invalid_arg "Po.create: colours must be in [1, 2^30)"
+  in
   let arcs =
     Array.of_list
       (List.map
@@ -146,8 +130,8 @@ let loop g id = g.loops.(id)
 let arcs g = Array.to_list g.arcs
 let loops g = Array.to_list g.loops
 let darts g v = g.darts.(v)
-let csr g = g.csr
-let degree g v = g.csr.row.(v + 1) - g.csr.row.(v)
+let dart_csr g = g.keyed
+let degree g v = g.keyed.row.(v + 1) - g.keyed.row.(v)
 
 let max_degree g =
   let best = ref 0 in

@@ -25,8 +25,8 @@ type t
 
 (** [create ~n ~arcs ~loops] with arcs as [(tail, head, colour)] and loops
     as [(node, colour)].
-    @raise Invalid_argument on range errors or if out-colours (or
-    in-colours) collide at a node. *)
+    @raise Invalid_argument on range errors (colours lie in
+    [\[1, 2^30)]) or if out-colours (or in-colours) collide at a node. *)
 val create : n:int -> arcs:(int * int * int) list -> loops:(int * int) list -> t
 
 val n : t -> int
@@ -41,22 +41,24 @@ val loops : t -> loop list
     by colour (the PO2 → PO1 convention). *)
 val darts : t -> int -> dart list
 
-(** Flat CSR view of all darts, computed once at construction and cached
-    in the value: dart [d] of node [v] occupies
-    [row.(v) .. row.(v+1) - 1] in {!darts} order; [colour.(d)] is its
-    colour, [dir.(d)] is 0 for out / 1 for in, [other.(d)] the node at
-    the far end ([v] itself for loops — loop reflection built in), and
-    [code.(d)] the arc id, or [-loop_id - 1] for a loop dart. Treat the
-    arrays as read-only. *)
-type csr = {
-  row : int array;
-  colour : int array;
-  dir : int array;
-  other : int array;
-  code : int array;
-}
+(** The dart key, the one name a PO node gives each of its darts: the
+    direction and the colour packed into an [int], so that keys ascend
+    in {!darts} order (out-darts by colour, then in-darts by colour). *)
+type key = int
 
-val csr : t -> csr
+val key : out:bool -> int -> key
+val key_is_out : key -> bool
+val key_colour : key -> int
+
+(** The key of the same arc end seen from the other endpoint: same
+    colour, opposite direction. *)
+val reverse_key : key -> key
+
+val dart_key : dart -> key
+
+(** Dart-keyed CSR view ({!Dart_csr}), in {!darts} order, computed once
+    at construction. *)
+val dart_csr : t -> Dart_csr.t
 
 (** Degree with the PO loop convention (a loop counts twice). *)
 val degree : t -> int -> int

@@ -1,27 +1,53 @@
 module Ec = Ld_models.Ec
+module Po = Ld_models.Po
+module Darts = Ld_models.Dart_csr
 module Obs = Ld_obs.Obs
 module Pool = Ld_pool.Pool
 
-(* Per-run traffic of the EC executor. [darts_scanned] counts inbox
-   reads actually performed by machines (the lazy inbox only pays for
-   what [recv] touches); [send_cache_hits] counts reads served from a
+type graph = Ec of Ec.t | Po of Po.t
+
+(* Per-run traffic, one counter set per model. [darts_scanned] counts
+   inbox reads actually performed by machines (the lazy inbox only pays
+   for what [recv] touches); [send_cache_hits] counts reads served from a
    halted sender's frozen broadcast; [active_nodes] sums the worklist
    size over rounds, so active_nodes/rounds is the mean frontier. *)
-let c_rounds = Obs.Counter.make "runtime.ec.rounds"
-let c_darts = Obs.Counter.make "runtime.ec.darts_scanned"
-let c_reflected = Obs.Counter.make "runtime.ec.loop_reflected"
-let c_sends = Obs.Counter.make "runtime.ec.sends"
-let c_cache_hits = Obs.Counter.make "runtime.ec.send_cache_hits"
-let c_active = Obs.Counter.make "runtime.ec.active_nodes"
-let h_round = Ld_obs.Hist.make "runtime.ec.round"
+type meters = {
+  span : string;
+  c_rounds : Obs.Counter.t;
+  c_darts : Obs.Counter.t;
+  c_reflected : Obs.Counter.t;
+  c_sends : Obs.Counter.t;
+  c_cache_hits : Obs.Counter.t;
+  c_active : Obs.Counter.t;
+  h_round : Ld_obs.Hist.t;
+}
+
+let meters model =
+  let name what = Printf.sprintf "runtime.%s.%s" model what in
+  {
+    span = name "run";
+    c_rounds = Obs.Counter.make (name "rounds");
+    c_darts = Obs.Counter.make (name "darts_scanned");
+    c_reflected = Obs.Counter.make (name "loop_reflected");
+    c_sends = Obs.Counter.make (name "sends");
+    c_cache_hits = Obs.Counter.make (name "send_cache_hits");
+    c_active = Obs.Counter.make (name "active_nodes");
+    h_round = Ld_obs.Hist.make (name "round");
+  }
+
+let ec_meters = meters "ec"
+let po_meters = meters "po"
+
+let dart_csr = function Ec g -> Ec.dart_csr g | Po g -> Po.dart_csr g
 
 module Inbox = struct
-  (* A cursor over one node's dart segment [lo, hi) of the CSR arrays.
+  (* A cursor over one node's dart segment [lo, hi) of the dart CSR.
      [out.(u)] is node [u]'s current broadcast; [frozen.(u)] means that
      broadcast was cached at halt time. Tallies accumulate across
      rounds and are flushed to the counters once per run. *)
   type 'msg t = {
-    colours : int array;
+    row : int array;
+    keys : int array;
     others : int array;
     out : 'msg array;
     frozen : bool array;
@@ -33,10 +59,11 @@ module Inbox = struct
     mutable hits : int;
   }
 
-  let make ~colours ~others ~out ~frozen =
+  let with_frozen (dc : Darts.t) out frozen =
     {
-      colours;
-      others;
+      row = dc.row;
+      keys = dc.key;
+      others = dc.other;
       out;
       frozen;
       node = 0;
@@ -47,13 +74,15 @@ module Inbox = struct
       hits = 0;
     }
 
-  let at ib row v =
+  let make dc out = with_frozen dc out (Array.make (Darts.n dc) false)
+
+  let at ib v =
     ib.node <- v;
-    ib.lo <- row.(v);
-    ib.hi <- row.(v + 1)
+    ib.lo <- ib.row.(v);
+    ib.hi <- ib.row.(v + 1)
 
   let degree ib = ib.hi - ib.lo
-  let colour ib i = ib.colours.(ib.lo + i)
+  let key ib i = ib.keys.(ib.lo + i)
 
   let read ib d =
     let u = ib.others.(d) in
@@ -64,14 +93,14 @@ module Inbox = struct
 
   let msg ib i = read ib (ib.lo + i)
 
-  let find ib ~colour =
+  let find ib ~key =
     let rec go lo hi =
       if lo >= hi then None
       else begin
         let mid = (lo + hi) / 2 in
-        let c = ib.colours.(mid) in
-        if c = colour then Some (read ib mid)
-        else if c < colour then go (mid + 1) hi
+        let k = ib.keys.(mid) in
+        if k = key then Some (read ib mid)
+        else if k < key then go (mid + 1) hi
         else go lo mid
       end
     in
@@ -80,77 +109,31 @@ module Inbox = struct
   let fold f acc ib =
     let r = ref acc in
     for d = ib.lo to ib.hi - 1 do
-      r := f !r ~colour:ib.colours.(d) (read ib d)
+      r := f !r ~key:ib.keys.(d) (read ib d)
     done;
     !r
 
-  let to_list ib =
-    List.rev (fold (fun acc ~colour m -> (colour, m) :: acc) [] ib)
+  let to_list ib = List.rev (fold (fun acc ~key m -> (key, m) :: acc) [] ib)
 end
 
 type ('state, 'msg) machine = {
-  init : degree:int -> colours:int list -> 'state;
+  init : keys:int list -> 'state;
   send : 'state -> 'msg;
   recv : 'state -> 'msg Inbox.t -> 'state;
   halted : 'state -> bool;
 }
 
-let initial machine g =
-  let { Ec.row; colour; _ } = Ec.csr g in
-  Array.init (Ec.n g) (fun v ->
-      let lo = row.(v) and hi = row.(v + 1) in
-      let colours = List.init (hi - lo) (fun i -> colour.(lo + i)) in
-      machine.init ~degree:(hi - lo) ~colours)
-
-(* Dense differential oracle: recompute every broadcast each round, walk
-   every non-halted inbox, [Array.for_all] halting scan — the executor
-   the active-set engine must agree with, state for state and round for
-   round. *)
-let exec_reference machine ~limit g =
-  let n = Ec.n g in
-  let csr = Ec.csr g in
-  let row = csr.Ec.row in
-  let frozen = Array.make (Stdlib.max 1 n) false in
-  let states = ref (initial machine g) in
-  let rounds = ref 0 in
-  let darts = ref 0 and reflected = ref 0 and sends = ref 0 in
-  while !rounds < limit && not (Array.for_all machine.halted !states) do
-    let prev = !states in
-    let out = Array.map machine.send prev in
-    sends := !sends + n;
-    let ib =
-      Inbox.make ~colours:csr.Ec.colour ~others:csr.Ec.other ~out ~frozen
-    in
-    states :=
-      Array.mapi
-        (fun v s ->
-          if machine.halted s then s
-          else begin
-            Inbox.at ib row v;
-            machine.recv s ib
-          end)
-        prev;
-    darts := !darts + ib.Inbox.darts;
-    reflected := !reflected + ib.Inbox.reflected;
-    incr rounds
-  done;
-  Obs.Counter.add c_rounds !rounds;
-  Obs.Counter.add c_darts !darts;
-  Obs.Counter.add c_reflected !reflected;
-  Obs.Counter.add c_sends !sends;
-  (!states, !rounds)
-
-(* Deterministic unit of parallel work — shared with the other
-   executors so every engine splits (and merges) identically. *)
-let chunk_ranges = Chunk.ranges
-
-let exec_active machine ~limit ~par_threshold ~domains g =
-  let n = Ec.n g in
-  let states = initial machine g in
+let exec_active machine ~limit ~par_threshold ~domains ~meters
+    (dc : Darts.t) =
+  let n = Darts.n dc in
+  let row = dc.row in
+  let states =
+    Array.init n (fun v ->
+        let lo = row.(v) in
+        machine.init ~keys:(List.init (row.(v + 1) - lo) (fun i -> dc.key.(lo + i))))
+  in
   if n = 0 then (states, 0)
   else begin
-    let csr = Ec.csr g in
-    let row = csr.Ec.row in
     let frozen = Array.make n false in
     (* Broadcasts, computed once per (node, round); a halted node's slot
        is written one last time when it freezes and then reused. *)
@@ -168,9 +151,7 @@ let exec_active machine ~limit ~par_threshold ~domains g =
         incr n_active
       end
     done;
-    let mk_inbox () =
-      Inbox.make ~colours:csr.Ec.colour ~others:csr.Ec.other ~out ~frozen
-    in
+    let mk_inbox () = Inbox.with_frozen dc out frozen in
     let seq_ib = mk_inbox () in
     let darts = ref 0 and reflected = ref 0 and hits = ref 0 in
     let drain (ib : _ Inbox.t) =
@@ -184,7 +165,7 @@ let exec_active machine ~limit ~par_threshold ~domains g =
     let recv_range ib lo hi =
       for k = lo to hi - 1 do
         let v = active.(k) in
-        Inbox.at ib row v;
+        Inbox.at ib v;
         states.(v) <- machine.recv states.(v) ib
       done
     in
@@ -201,11 +182,11 @@ let exec_active machine ~limit ~par_threshold ~domains g =
     let rounds = ref 0 in
     let total_active = ref 0 in
     while !n_active > 0 && !rounds < limit do
-      Ld_obs.Hist.timed h_round (fun () ->
+      Ld_obs.Hist.timed meters.h_round (fun () ->
           let m = !n_active in
           total_active := !total_active + m;
           if domains > 1 && m >= par_threshold then begin
-            let ranges = chunk_ranges m domains in
+            let ranges = Chunk.ranges m domains in
             Pool.map ~domains
               (fun (lo, hi) ->
                 let ib = mk_inbox () in
@@ -235,32 +216,31 @@ let exec_active machine ~limit ~par_threshold ~domains g =
       incr rounds
     done;
     drain seq_ib;
-    Obs.Counter.add c_rounds !rounds;
-    Obs.Counter.add c_darts !darts;
-    Obs.Counter.add c_reflected !reflected;
-    Obs.Counter.add c_sends !sends;
-    Obs.Counter.add c_cache_hits !hits;
-    Obs.Counter.add c_active !total_active;
+    Obs.Counter.add meters.c_rounds !rounds;
+    Obs.Counter.add meters.c_darts !darts;
+    Obs.Counter.add meters.c_reflected !reflected;
+    Obs.Counter.add meters.c_sends !sends;
+    Obs.Counter.add meters.c_cache_hits !hits;
+    Obs.Counter.add meters.c_active !total_active;
     (states, !rounds)
   end
 
 let default_par_threshold = 4096
 
-let exec ~reference ~par_threshold ~domains machine ~limit g =
+let exec ~par_threshold ~domains machine ~limit g =
   let domains =
     match domains with
     | Some d -> Stdlib.max 1 d
     | None -> Pool.default_domains ()
   in
-  Obs.with_span "runtime.ec.run" (fun () ->
-      if reference then exec_reference machine ~limit g
-      else exec_active machine ~limit ~par_threshold ~domains g)
+  let meters = match g with Ec _ -> ec_meters | Po _ -> po_meters in
+  Obs.with_span meters.span (fun () ->
+      exec_active machine ~limit ~par_threshold ~domains ~meters (dart_csr g))
 
-let run ?(reference = false) ?(par_threshold = default_par_threshold) ?domains
-    machine ~rounds g =
-  if rounds < 0 then invalid_arg "Anon_ec.run: negative rounds";
-  fst (exec ~reference ~par_threshold ~domains machine ~limit:rounds g)
+let run ?(par_threshold = default_par_threshold) ?domains machine ~rounds g =
+  if rounds < 0 then invalid_arg "Anon.run: negative rounds";
+  fst (exec ~par_threshold ~domains machine ~limit:rounds g)
 
-let run_until ?(reference = false) ?(par_threshold = default_par_threshold)
-    ?domains machine ~max_rounds g =
-  exec ~reference ~par_threshold ~domains machine ~limit:max_rounds g
+let run_until ?(par_threshold = default_par_threshold) ?domains machine
+    ~max_rounds g =
+  exec ~par_threshold ~domains machine ~limit:max_rounds g

@@ -12,7 +12,7 @@ module Pool = Ld_pool.Pool
    slices directly from the CSR arrays.
 
    The execution discipline is the same two-phase active-set design as
-   [Anon_ec]/[Sync], and deliberately so, because the boxed engines
+   [Anon]/[Sync], and deliberately so, because the boxed engines
    remain the differential oracles: phase 1 (recv) reads only the
    frozen-or-refreshed [out] array and writes only the node's own
    state slice; phase 2 (send/refresh) writes only the node's own

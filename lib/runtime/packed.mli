@@ -8,7 +8,7 @@
     and read peers' message slices directly.
 
     Both executors follow the two-phase active-set discipline of the
-    boxed engines ([Anon_ec], [Sync]), which remain the differential
+    boxed engines ([Anon], [Sync]), which remain the differential
     oracles: a packed machine paired with its boxed twin must produce
     identical observables, states and halting rounds (see
     test_packed.ml). Parallel ranges come from {!Chunk.ranges} and
@@ -26,7 +26,7 @@ val default_par_threshold : int
 (** Broadcast executor for the anonymous EC model: one [msg_words]
     message per node and round, delivered along every incident dart
     (loop reflection included — a machine reading across a loop dart
-    sees its own broadcast, as in [Anon_ec]). *)
+    sees its own broadcast, as in [Anon]). *)
 module Broadcast : sig
   type machine = {
     state_words : int;

@@ -290,13 +290,13 @@ let pool_map_is_deterministic () =
   let xs = List.init 50 Fun.id in
   Alcotest.(check (list int)) "order preserved"
     (List.map (fun x -> x * x) xs)
-    (Ld_core.Pool.map ~domains:4 (fun x -> x * x) xs);
+    (Ld_pool.Pool.map ~domains:4 (fun x -> x * x) xs);
   Alcotest.(check (list int)) "mapi indices" (List.init 10 (fun i -> 2 * i))
-    (Ld_core.Pool.mapi ~domains:3 (fun i x -> i + x) (List.init 10 Fun.id));
+    (Ld_pool.Pool.mapi ~domains:3 (fun i x -> i + x) (List.init 10 Fun.id));
   Alcotest.check_raises "earliest failure re-raised" (Failure "boom3")
     (fun () ->
       ignore
-        (Ld_core.Pool.map ~domains:3
+        (Ld_pool.Pool.map ~domains:3
            (fun x -> if x >= 3 then failwith (Printf.sprintf "boom%d" x) else x)
            xs))
 
@@ -591,33 +591,142 @@ let certificate_tamper_detected () =
   Alcotest.(check bool) "wrong node rejected" false
     (List.for_all CIO.check_ok (CIO.verify ~delta:4 forged3))
 
+let with_temp_file f =
+  let path = Filename.temp_file "ld_cert" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* Every field survives a file round trip, [views_checked] included, and
+   the reloaded chain verifies. *)
 let certificate_file_roundtrip () =
   let module CIO = Ld_core.Certificate_io in
   let certs = certs_of (LB.run ~delta:4 Packing.greedy_algorithm) in
-  let path = Filename.temp_file "ld_cert" ".sexp" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  Alcotest.(check bool) "views checked before saving" true
+    (List.for_all (fun (c : LB.certificate) -> c.views_checked) certs);
+  with_temp_file (fun path ->
       CIO.save path certs;
       let back = CIO.load path in
       Alcotest.(check int) "count" (List.length certs) (List.length back);
+      List.iter2
+        (fun (a : LB.certificate) (b : LB.certificate) ->
+          Alcotest.(check bool) "views_checked" a.views_checked b.views_checked;
+          Alcotest.(check bool) "certificate" true
+            (a.level = b.level && a.colour = b.colour
+            && Ec.equal a.g_graph b.g_graph
+            && Ec.equal a.h_graph b.h_graph
+            && a.g_node = b.g_node && a.h_node = b.h_node
+            && a.g_loop = b.g_loop && a.h_loop = b.h_loop
+            && Q.equal a.g_weight b.g_weight
+            && Q.equal a.h_weight b.h_weight))
+        certs back;
       Alcotest.(check bool) "verifies" true
         (List.for_all CIO.check_ok
            (CIO.verify ~algorithm:Packing.greedy_algorithm ~delta:4 back)))
 
-let sexp_roundtrip () =
-  let module S = Ld_core.Sexp in
-  let s =
-    S.list [ S.atom "a"; S.list [ S.int 1; S.int (-2) ]; S.field "f" [ S.atom "x" ] ]
+let certificate_file_damage_rejected () =
+  let module CIO = Ld_core.Certificate_io in
+  let text = CIO.to_string (certs_of (LB.run ~delta:4 Packing.greedy_algorithm)) in
+  let rejected what damaged =
+    with_temp_file (fun path ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc damaged);
+        Alcotest.(check bool) what true
+          (match CIO.load path with _ -> false | exception Failure _ -> true))
   in
-  let text = S.to_string s in
-  Alcotest.(check string) "printed" "(a (1 -2) (f x))" text;
-  Alcotest.(check bool) "parse back" true (S.of_string text = s);
-  Alcotest.(check bool) "malformed rejected" true
-    (try
-       ignore (S.of_string "(a (b)");
-       false
-     with Failure _ -> true)
+  let len = String.length text in
+  List.iter
+    (fun keep -> rejected (Printf.sprintf "truncated to %d bytes" keep) (String.sub text 0 keep))
+    [ 0; 3; 19; 20; 27; len / 2; len - 1 ];
+  rejected "wrong magic" ("LDC0" ^ String.sub text 4 (len - 4));
+  rejected "sexp text" "(certificate (level 0))\n";
+  (* One flipped bit in every byte position in turn, header included. *)
+  String.iteri
+    (fun i ch ->
+      let b = Bytes.of_string text in
+      Bytes.set b i (Char.chr (Char.code ch lxor 0x10));
+      rejected (Printf.sprintf "byte %d flipped" i) (Bytes.to_string b))
+    text;
+  rejected "trailing byte" (text ^ "\000")
+
+(* [verify] must re-check views with the checker kernel, not with the
+   partition refinement that produced the certificates. *)
+let verify_does_not_use_partition_refinement () =
+  let module CIO = Ld_core.Certificate_io in
+  let certs = certs_of (LB.run ~delta:5 Packing.greedy_algorithm) in
+  let rounds = Ld_obs.Obs.Counter.make "cover.refine.rounds" in
+  Ld_obs.Obs.enable ();
+  Fun.protect ~finally:Ld_obs.Obs.disable (fun () ->
+      let before = Ld_obs.Obs.Counter.value rounds in
+      let checks = CIO.verify ~delta:5 certs in
+      Alcotest.(check bool) "verifies" true (List.for_all CIO.check_ok checks);
+      Alcotest.(check int) "cover.refine.rounds unchanged" before
+        (Ld_obs.Obs.Counter.value rounds))
+
+(* Recolour the h_graph edge at the distinguished node to a colour no
+   node of either graph uses: structure still holds, but the radius-1
+   views differ, so every level >= 1 must fail the view check. *)
+let verify_rejects_recoloured_h_edge () =
+  let module CIO = Ld_core.Certificate_io in
+  let certs = certs_of (LB.run ~delta:5 Packing.greedy_algorithm) in
+  let forged =
+    List.filter_map
+      (fun (c : LB.certificate) ->
+        if c.level = 0 then None
+        else begin
+          let fresh = 1 + Stdlib.max (Ec.max_colour c.g_graph) (Ec.max_colour c.h_graph) in
+          let edges =
+            List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges c.h_graph)
+          in
+          let target =
+            match
+              List.find_opt (fun (u, v, _) -> u = c.h_node || v = c.h_node) edges
+            with
+            | Some e -> e
+            | None -> Alcotest.fail "distinguished node has no edge"
+          in
+          let edges =
+            List.map (fun ((u, v, _) as e) -> if e == target then (u, v, fresh) else e) edges
+          in
+          let loops =
+            List.map (fun (l : Ec.loop) -> (l.node, l.colour)) (Ec.loops c.h_graph)
+          in
+          Some { c with h_graph = Ec.create ~n:(Ec.n c.h_graph) ~edges ~loops }
+        end)
+      certs
+  in
+  Alcotest.(check bool) "some levels forged" true (forged <> []);
+  List.iter
+    (fun (chk : CIO.check) ->
+      Alcotest.(check bool) "structure still ok" true chk.chk_structure;
+      Alcotest.(check bool) "views rejected" false chk.chk_views)
+    (CIO.verify ~delta:5 forged)
+
+(* P2/P3 predicate on the dart CSR against the [Ld_graph.Graph] oracle. *)
+let tree_plus_loops_matches_oracle () =
+  let agree what g expected =
+    Alcotest.(check bool) (what ^ " (oracle)") expected (Ld_check.is_tree_plus_loops g);
+    Alcotest.(check bool) what expected (LB.is_tree_plus_loops g)
+  in
+  for seed = 0 to 40 do
+    let n = 1 + (seed mod 9) in
+    let tree =
+      Ld_models.Edge_colouring.ec_of_simple (Ld_graph.Generators.random_tree ~seed n)
+    in
+    let next = Ec.max_colour tree in
+    let loopy =
+      Ec.create ~n
+        ~edges:(List.map (fun (e : Ec.edge) -> (e.u, e.v, e.colour)) (Ec.edges tree))
+        ~loops:(List.init n (fun v -> (v, next + 1 + (v mod 2))))
+    in
+    agree (Printf.sprintf "random loopy tree %d" seed) loopy true
+  done;
+  let triangle = Ec.create ~n:3 ~edges:[ (0, 1, 1); (1, 2, 2); (2, 0, 3) ] ~loops:[ (0, 4) ] in
+  agree "cycle" triangle false;
+  let cycle_and_isolated =
+    Ec.create ~n:4 ~edges:[ (0, 1, 1); (1, 2, 2); (2, 0, 3) ] ~loops:[ (3, 1) ]
+  in
+  agree "cycle plus isolated node, n - 1 edges" cycle_and_isolated false;
+  let parallel = Ec.create ~n:3 ~edges:[ (0, 1, 1); (0, 1, 2) ] ~loops:[ (2, 1) ] in
+  agree "parallel edges, n - 1 edges" parallel false;
+  agree "empty graph" (Ec.create ~n:0 ~edges:[] ~loops:[]) false
 
 let () =
   Alcotest.run "core"
@@ -683,9 +792,16 @@ let () =
         ] );
       ( "certificates",
         [
-          Alcotest.test_case "sexp roundtrip" `Quick sexp_roundtrip;
           Alcotest.test_case "serialise + verify" `Quick certificate_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick certificate_file_roundtrip;
+          Alcotest.test_case "damaged file rejected" `Quick
+            certificate_file_damage_rejected;
           Alcotest.test_case "tampering detected" `Quick certificate_tamper_detected;
+          Alcotest.test_case "verify leaves partition refinement idle" `Quick
+            verify_does_not_use_partition_refinement;
+          Alcotest.test_case "recoloured h_graph edge rejected" `Quick
+            verify_rejects_recoloured_h_edge;
+          Alcotest.test_case "tree-plus-loops = Graph oracle" `Quick
+            tree_plus_loops_matches_oracle;
         ] );
     ]

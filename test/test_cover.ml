@@ -55,8 +55,8 @@ let refinement_matches_views =
       done;
       !ok)
 
-(* The optimised flat-array refinement must agree with the list-based
-   reference implementation label-for-label (not merely up to partition
+(* The partition refinement must agree with the checker's list-based
+   refinement label-for-label (not merely up to partition
    renaming): both intern descriptors by first occurrence in node
    order, so the histories are exactly equal arrays. *)
 let flat_refinement_matches_reference =
@@ -66,11 +66,11 @@ let flat_refinement_matches_reference =
     (fun (n, seed) ->
       let g = random_loopy_ec ~seed n in
       let rounds = n + 2 in
-      let fast = Refinement.refine_ec g ~rounds in
-      let slow = Refinement.refine_ec ~reference:true g ~rounds in
+      let fast = Refinement.refine (Ec.dart_csr g) ~rounds in
+      let slow = Ld_check.refine_ec g ~rounds in
       let p = Ld_models.Po.of_ec g in
-      let pfast = Refinement.refine_po p ~rounds in
-      let pslow = Refinement.refine_po ~reference:true p ~rounds in
+      let pfast = Refinement.refine (Ld_models.Po.dart_csr p) ~rounds in
+      let pslow = Ld_check.refine_po p ~rounds in
       fast = slow && pfast = pslow)
 
 (* The soundness lemma behind the engine's incremental P1 checks:
@@ -124,8 +124,8 @@ let norris_stabilisation =
     (QCheck.pair (QCheck.int_range 2 8) (QCheck.int_range 0 999))
     (fun (n, seed) ->
       let g = random_loopy_ec ~seed n in
-      let cls = Refinement.stable_partition_ec g in
-      let deep = Refinement.refine_ec g ~rounds:(n + 3) in
+      let cls = Refinement.stable_partition (Ec.dart_csr g) in
+      let deep = Refinement.refine (Ec.dart_csr g) ~rounds:(n + 3) in
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
@@ -139,15 +139,15 @@ let po_refinement_sees_orientation () =
   (* The endpoints of a single arc have different views (out vs in),
      while all nodes of a uniformly-coloured directed cycle agree. *)
   let p = Ld_models.Po.create ~n:2 ~arcs:[ (0, 1, 1) ] ~loops:[] in
-  let h = Refinement.refine_po p ~rounds:2 in
+  let h = Refinement.refine (Ld_models.Po.dart_csr p) ~rounds:2 in
   Alcotest.(check bool) "arc endpoints differ" true (h.(1).(0) <> h.(1).(1));
   let c = Ld_models.Po.create ~n:3 ~arcs:[ (0, 1, 1); (1, 2, 1); (2, 0, 1) ] ~loops:[] in
-  let hc = Refinement.refine_po c ~rounds:4 in
+  let hc = Refinement.refine (Ld_models.Po.dart_csr c) ~rounds:4 in
   Alcotest.(check bool) "cycle nodes agree" true
     (hc.(4).(0) = hc.(4).(1) && hc.(4).(1) = hc.(4).(2));
   Alcotest.(check int) "cycle stable partition is trivial" 1
     (List.length
-       (List.sort_uniq Int.compare (Array.to_list (Refinement.stable_partition_po c))))
+       (List.sort_uniq Int.compare (Array.to_list (Refinement.stable_partition (Ld_models.Po.dart_csr c)))))
 
 let view_shapes () =
   (* A single node with two loops: radius-1 view has two branches; each

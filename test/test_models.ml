@@ -60,7 +60,17 @@ let po_properness () =
     (Invalid_argument "Po.create: node 0 has two outgoing darts of colour 1")
     (fun () -> ignore (Po.create ~n:3 ~arcs:[ (0, 1, 1); (0, 2, 1) ] ~loops:[]));
   let ok = Po.create ~n:3 ~arcs:[ (0, 1, 1); (2, 0, 1) ] ~loops:[] in
-  Alcotest.(check int) "mixed colours fine" 2 (Po.degree ok 0)
+  Alcotest.(check int) "mixed colours fine" 2 (Po.degree ok 0);
+  (* Dart keys flag in-darts above every colour, so colours stay below
+     2^30; keys then ascend in dart order. *)
+  Alcotest.check_raises "colour 2^30"
+    (Invalid_argument "Po.create: colours must be in [1, 2^30)")
+    (fun () -> ignore (Po.create ~n:2 ~arcs:[ (0, 1, 1 lsl 30) ] ~loops:[]));
+  let keys = (Po.dart_csr ok).key in
+  Alcotest.(check (list int)) "keys in dart order"
+    (List.map Po.dart_key (Po.darts ok 0))
+    [ keys.(0); keys.(1) ];
+  Alcotest.(check bool) "out-key below in-key" true (keys.(0) < keys.(1))
 
 let po_of_ports_roundtrip () =
   (* Fig. 2(a): the port-numbered triangle-ish example — encode, then

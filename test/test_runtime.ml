@@ -3,8 +3,7 @@
 
 module Ec = Ld_models.Ec
 module Po = Ld_models.Po
-module Anon_ec = Ld_runtime.Anon_ec
-module Anon_po = Ld_runtime.Anon_po
+module Anon = Ld_runtime.Anon
 module Sync = Ld_runtime.Sync
 module View = Ld_cover.View
 module Lift = Ld_cover.Lift
@@ -16,11 +15,9 @@ module Labelled = Ld_models.Labelled
    lifts and view trees. *)
 type probe = { seen : string }
 
-let probe_machine : (probe, string) Anon_ec.machine =
+let probe_machine : (probe, string) Anon.machine =
   {
-    init =
-      (fun ~degree:_ ~colours ->
-        { seen = String.concat "," (List.map string_of_int colours) });
+    init = (fun ~keys -> { seen = String.concat "," (List.map string_of_int keys) });
     send = (fun s -> s.seen);
     recv =
       (fun s inbox ->
@@ -30,7 +27,7 @@ let probe_machine : (probe, string) Anon_ec.machine =
             ^ String.concat ";"
                 (List.map
                    (fun (c, m) -> Printf.sprintf "%d<%s>" c m)
-                   (Anon_ec.Inbox.to_list inbox));
+                   (Anon.Inbox.to_list inbox));
         });
     halted = (fun _ -> false);
   }
@@ -51,8 +48,8 @@ let reflection_agrees_with_lift =
       let g = random_loopy ~seed n in
       let cov = Lift.unfold_loop g ~loop_id:0 in
       let rounds = 3 in
-      let base_states = Anon_ec.run probe_machine ~rounds g in
-      let lift_states = Anon_ec.run probe_machine ~rounds cov.total in
+      let base_states = Anon.run probe_machine ~rounds (Anon.Ec g) in
+      let lift_states = Anon.run probe_machine ~rounds (Anon.Ec cov.total) in
       Array.for_all Fun.id
         (Array.mapi
            (fun v s -> s.seen = base_states.(cov.map.(v)).seen)
@@ -65,7 +62,7 @@ let state_determined_by_view =
     (fun (n, seed) ->
       let g = random_loopy ~seed n in
       let rounds = 2 in
-      let states = Anon_ec.run probe_machine ~rounds g in
+      let states = Anon.run probe_machine ~rounds (Anon.Ec g) in
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
@@ -81,16 +78,16 @@ let state_determined_by_view =
 
 let run_until_halts () =
   (* Nodes halt after seeing [degree] rounds. *)
-  let machine : (int * int, unit) Anon_ec.machine =
+  let machine : (int * int, unit) Anon.machine =
     {
-      init = (fun ~degree ~colours:_ -> (degree, 0));
+      init = (fun ~keys -> (List.length keys, 0));
       send = (fun _ -> ());
       recv = (fun (d, r) _ -> (d, r + 1));
       halted = (fun (d, r) -> r >= d);
     }
   in
   let g = Ld_models.Edge_colouring.ec_of_simple (Gen.star 4) in
-  let _, rounds = Anon_ec.run_until machine ~max_rounds:100 g in
+  let _, rounds = Anon.run_until machine ~max_rounds:100 (Anon.Ec g) in
   Alcotest.(check int) "rounds = max degree" 4 rounds
 
 (* ------------------------------------------------------------------ *)
@@ -109,11 +106,12 @@ let diff_quota ~quota_mod ~salt ~degree ~weight =
   else if quota_mod = 0 then 0
   else (degree + salt + weight) mod quota_mod
 
-let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon_ec.machine =
+let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon.machine =
   {
     init =
-      (fun ~degree ~colours ->
-        let weight = List.fold_left ( + ) 0 colours in
+      (fun ~keys ->
+        let degree = List.length keys in
+        let weight = List.fold_left ( + ) 0 keys in
         {
           h = (salt * 131) + (degree * 7) + weight;
           r = 0;
@@ -123,12 +121,12 @@ let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon_ec.machine =
     recv =
       (fun s ib ->
         let h =
-          Anon_ec.Inbox.fold
-            (fun acc ~colour m -> (acc * 1000003) lxor (colour * 7919) lxor m)
+          Anon.Inbox.fold
+            (fun acc ~key m -> (acc * 1000003) lxor (key * 7919) lxor m)
             s.h ib
         in
         let h =
-          match Anon_ec.Inbox.find ib ~colour:(1 + (s.r mod 5)) with
+          match Anon.Inbox.find ib ~key:(1 + (s.r mod 5)) with
           | None -> h
           | Some m -> (h * 31) lxor m
         in
@@ -136,17 +134,14 @@ let diff_ec_machine ~salt ~quota_mod : (diff_st, int) Anon_ec.machine =
     halted = (fun s -> s.r >= s.quota);
   }
 
-let diff_po_machine ~salt ~quota_mod : (diff_st, int) Anon_po.machine =
+let po_code k = (2 * Po.key_colour k) + if Po.key_is_out k then 1 else 0
+
+let diff_po_machine ~salt ~quota_mod : (diff_st, int) Anon.machine =
   {
     init =
-      (fun ~darts ->
-        let degree = List.length darts in
-        let weight =
-          List.fold_left
-            (fun acc (k : Anon_po.dart_key) ->
-              acc + (2 * k.colour) + if k.out then 1 else 0)
-            0 darts
-        in
+      (fun ~keys ->
+        let degree = List.length keys in
+        let weight = List.fold_left (fun acc k -> acc + po_code k) 0 keys in
         {
           h = (salt * 131) + (degree * 7) + weight;
           r = 0;
@@ -156,17 +151,16 @@ let diff_po_machine ~salt ~quota_mod : (diff_st, int) Anon_po.machine =
     recv =
       (fun s ib ->
         let h =
-          Anon_po.Inbox.fold
+          Anon.Inbox.fold
             (fun acc ~key m ->
               (acc * 1000003)
-              lxor ((key.colour * 7919) + if key.out then 1 else 0)
+              lxor ((Po.key_colour key * 7919) + if Po.key_is_out key then 1 else 0)
               lxor m)
             s.h ib
         in
         let h =
           match
-            Anon_po.Inbox.find ib
-              ~key:{ out = s.r mod 2 = 0; colour = 1 + (s.r mod 5) }
+            Anon.Inbox.find ib ~key:(Po.key ~out:(s.r mod 2 = 0) (1 + (s.r mod 5)))
           with
           | None -> h
           | Some m -> (h * 31) lxor m
@@ -187,13 +181,12 @@ let check_ec (n, seed) quota_mod salt =
   let g = random_loopy ~seed n in
   let m = diff_ec_machine ~salt ~quota_mod in
   let max_rounds = 12 in
-  let act, ra = Anon_ec.run_until m ~max_rounds g in
-  let ref_, rr = Anon_ec.run_until ~reference:true m ~max_rounds g in
-  let par, rp =
-    Anon_ec.run_until ~par_threshold:0 ~domains:4 m ~max_rounds g
-  in
+  let g = Anon.Ec g in
+  let act, ra = Anon.run_until m ~max_rounds g in
+  let ref_, rr = Ld_check.run_until m ~max_rounds g in
+  let par, rp = Anon.run_until ~par_threshold:0 ~domains:4 m ~max_rounds g in
   ra = rr && rp = rr && act = ref_ && par = ref_
-  && Anon_ec.run m ~rounds:5 g = Anon_ec.run ~reference:true m ~rounds:5 g
+  && Anon.run m ~rounds:5 g = Ld_check.run m ~rounds:5 g
 
 let ec_active_equals_reference =
   QCheck.Test.make ~count:60
@@ -205,13 +198,12 @@ let check_po (n, seed) quota_mod salt =
   let g = Po.of_ec (random_loopy ~seed n) in
   let m = diff_po_machine ~salt ~quota_mod in
   let max_rounds = 12 in
-  let act, ra = Anon_po.run_until m ~max_rounds g in
-  let ref_, rr = Anon_po.run_until ~reference:true m ~max_rounds g in
-  let par, rp =
-    Anon_po.run_until ~par_threshold:0 ~domains:4 m ~max_rounds g
-  in
+  let g = Anon.Po g in
+  let act, ra = Anon.run_until m ~max_rounds g in
+  let ref_, rr = Ld_check.run_until m ~max_rounds g in
+  let par, rp = Anon.run_until ~par_threshold:0 ~domains:4 m ~max_rounds g in
   ra = rr && rp = rr && act = ref_ && par = ref_
-  && Anon_po.run m ~rounds:5 g = Anon_po.run ~reference:true m ~rounds:5 g
+  && Anon.run m ~rounds:5 g = Ld_check.run m ~rounds:5 g
 
 let po_active_equals_reference =
   QCheck.Test.make ~count:60
@@ -220,18 +212,18 @@ let po_active_equals_reference =
     (fun (gp, quota_mod, salt) -> check_po gp quota_mod salt)
 
 let ec_edge_cases () =
-  let g = random_loopy ~seed:7 6 in
+  let g = Anon.Ec (random_loopy ~seed:7 6) in
   (* All halted at round 0: no rounds run, states are the initial ones. *)
   let m0 = diff_ec_machine ~salt:3 ~quota_mod:0 in
-  let s, r = Anon_ec.run_until m0 ~max_rounds:10 g in
+  let s, r = Anon.run_until m0 ~max_rounds:10 g in
   Alcotest.(check int) "halt-at-init rounds" 0 r;
-  let s_ref, r_ref = Anon_ec.run_until ~reference:true m0 ~max_rounds:10 g in
+  let s_ref, r_ref = Ld_check.run_until m0 ~max_rounds:10 g in
   Alcotest.(check int) "halt-at-init rounds (reference)" 0 r_ref;
   Alcotest.(check bool) "halt-at-init states" true (s = s_ref);
   (* Never halts: both executors run to the round limit. *)
   let mn = diff_ec_machine ~salt:3 ~quota_mod:(-1) in
-  let _, r = Anon_ec.run_until mn ~max_rounds:10 g in
-  let _, r_ref = Anon_ec.run_until ~reference:true mn ~max_rounds:10 g in
+  let _, r = Anon.run_until mn ~max_rounds:10 g in
+  let _, r_ref = Ld_check.run_until mn ~max_rounds:10 g in
   Alcotest.(check int) "never-halts rounds" 10 r;
   Alcotest.(check int) "never-halts rounds (reference)" 10 r_ref
 
@@ -240,18 +232,12 @@ let ec_edge_cases () =
 (* PO probe: also checks that out/in darts are distinguished. *)
 type po_probe = { po_seen : string }
 
-let po_probe_machine : (po_probe, string) Anon_po.machine =
+let po_key_name k =
+  Printf.sprintf "%s%d" (if Po.key_is_out k then "+" else "-") (Po.key_colour k)
+
+let po_probe_machine : (po_probe, string) Anon.machine =
   {
-    init =
-      (fun ~darts ->
-        {
-          po_seen =
-            String.concat ","
-              (List.map
-                 (fun (k : Anon_po.dart_key) ->
-                   Printf.sprintf "%s%d" (if k.out then "+" else "-") k.colour)
-                 darts);
-        });
+    init = (fun ~keys -> { po_seen = String.concat "," (List.map po_key_name keys) });
     send = (fun s -> s.po_seen);
     recv =
       (fun s inbox ->
@@ -260,10 +246,8 @@ let po_probe_machine : (po_probe, string) Anon_po.machine =
             s.po_seen ^ "|"
             ^ String.concat ";"
                 (List.map
-                   (fun ((k : Anon_po.dart_key), m) ->
-                     Printf.sprintf "%s%d<%s>" (if k.out then "+" else "-")
-                       k.colour m)
-                   (Anon_po.Inbox.to_list inbox));
+                   (fun (k, m) -> Printf.sprintf "%s<%s>" (po_key_name k) m)
+                   (Anon.Inbox.to_list inbox));
         });
     halted = (fun _ -> false);
   }
@@ -275,8 +259,8 @@ let po_loop_reflection () =
   let cycle =
     Po.create ~n:3 ~arcs:[ (0, 1, 1); (1, 2, 1); (2, 0, 1) ] ~loops:[]
   in
-  let sb = Anon_po.run po_probe_machine ~rounds:3 base in
-  let sc = Anon_po.run po_probe_machine ~rounds:3 cycle in
+  let sb = Anon.run po_probe_machine ~rounds:3 (Anon.Po base) in
+  let sc = Anon.run po_probe_machine ~rounds:3 (Anon.Po cycle) in
   Array.iter
     (fun (s : po_probe) ->
       Alcotest.(check string) "cycle node = loop node" sb.(0).po_seen s.po_seen)
@@ -294,8 +278,8 @@ let po_reflection_agrees_with_lift =
       let po_base = Po.of_ec g in
       let po_total = Po.of_ec cov.total in
       let rounds = 3 in
-      let base_states = Anon_po.run po_probe_machine ~rounds po_base in
-      let lift_states = Anon_po.run po_probe_machine ~rounds po_total in
+      let base_states = Anon.run po_probe_machine ~rounds (Anon.Po po_base) in
+      let lift_states = Anon.run po_probe_machine ~rounds (Anon.Po po_total) in
       Array.for_all Fun.id
         (Array.mapi
            (fun v (s : po_probe) -> s.po_seen = base_states.(cov.map.(v)).po_seen)
@@ -307,7 +291,7 @@ let po_orientation_matters () =
      darts differ, so the directed path (0->1) gives different states at
      its two endpoints. *)
   let p = Po.create ~n:2 ~arcs:[ (0, 1, 1) ] ~loops:[] in
-  let s = Anon_po.run po_probe_machine ~rounds:2 p in
+  let s = Anon.run po_probe_machine ~rounds:2 (Anon.Po p) in
   Alcotest.(check bool) "tail and head differ" true (s.(0).po_seen <> s.(1).po_seen)
 
 (* ID simulator: flood the minimum identifier; check rounds = eccentricity. *)

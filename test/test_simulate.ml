@@ -12,7 +12,7 @@ module Po_fm = Ld_fm.Po_fm
 module Fm = Ld_fm.Fm
 module Po = Ld_models.Po
 module Ec = Ld_models.Ec
-module View_po = Ld_cover.View_po
+module View = Ld_cover.View
 module Gen = Ld_graph.Generators
 module Q = Ld_arith.Q
 
@@ -98,13 +98,13 @@ let ordered_view_ranks_are_permutation =
 let view_po_matches_po_structure () =
   (* A directed loop unfolds through both darts. *)
   let g = Po.create ~n:1 ~arcs:[] ~loops:[ (0, 1) ] in
-  let v = View_po.of_po g 0 ~radius:2 in
-  Alcotest.(check int) "two branches at root" 2 (List.length v.View_po.branches);
-  Alcotest.(check int) "size" 5 (View_po.size v);
+  let v = View.of_po g 0 ~radius:2 in
+  Alcotest.(check int) "two branches at root" 2 (List.length v.View.branches);
+  Alcotest.(check int) "size" 5 (View.size v);
   (* Against the 3-cycle lift: views agree. *)
   let c3 = Po.create ~n:3 ~arcs:[ (0, 1, 1); (1, 2, 1); (2, 0, 1) ] ~loops:[] in
   Alcotest.(check bool) "lift view equal" true
-    (View_po.equal (View_po.of_po c3 0 ~radius:2) v)
+    (View.equal (View.of_po c3 0 ~radius:2) v)
 
 let oi_rule_refuted () =
   (* A small-radius OI rule cannot be correct: the adversary finds the
