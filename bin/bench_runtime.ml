@@ -96,19 +96,23 @@ let measure ~workload ~algo ~domains g =
     r.r_round_p50_ms r.r_round_p99_ms;
   r
 
-(* Packed-vs-packed domain identity: the same workload at 1 domain and
-   at a forced multi-domain split (par_threshold 0 so small inputs
-   split too) must produce identical mates and rounds. *)
+(* Packed-vs-packed domain identity: each propose/respond workload at
+   1 domain and at a forced multi-domain split (par_threshold 0 so
+   small inputs split too) must produce identical mates and rounds.
+   Israeli–Itai is Davies–Peck's class-free schedule; the default one
+   adds the class gate. *)
 let identity_check () =
   let g = Gen.stream_biregular_tree ~d:tree_d ~delta:tree_delta 100_000 in
-  let a, _ =
-    Packed_ii.run ~domains:1 ~seed:42 ~max_rounds:ii_max_rounds g
+  let same run =
+    let (a : Davies_peck.result), _ = run ~par_threshold:None ~domains:1 in
+    let b, _ = run ~par_threshold:(Some 0) ~domains:4 in
+    a.mate = b.mate && a.rounds = b.rounds
   in
-  let b, _ =
-    Packed_ii.run ~par_threshold:0 ~domains:4 ~seed:42
-      ~max_rounds:ii_max_rounds g
-  in
-  a.Packed_ii.mate = b.Packed_ii.mate && a.Packed_ii.rounds = b.Packed_ii.rounds
+  same (fun ~par_threshold ~domains ->
+      Packed_ii.run ?par_threshold ~domains ~seed:42 ~max_rounds:ii_max_rounds g)
+  && same (fun ~par_threshold ~domains ->
+         Davies_peck.run ?par_threshold ~domains ~seed:42
+           ~max_rounds:ii_max_rounds g)
 
 let json_escape = Ld_obs.Json.escape
 

@@ -2,6 +2,8 @@ module Ec = Ld_models.Ec
 module Po = Ld_models.Po
 module Darts = Ld_models.Dart_csr
 module Anon = Ld_runtime.Anon
+module Sync = Ld_runtime.Sync
+module Dp = Ld_matching.Davies_peck
 
 (* ---- dense executor ---- *)
 
@@ -36,6 +38,39 @@ let run machine ~rounds g =
   fst (exec machine ~limit:rounds g)
 
 let run_until machine ~max_rounds g = exec machine ~limit:max_rounds g
+
+(* ---- boxed propose/respond twin ---- *)
+
+let propose_respond_run ~sched ~seed ~max_rounds g =
+  Dp.check_schedule sched;
+  let machine : (int array, int, int) Sync.machine =
+    {
+      init =
+        (fun ~id ~degree ~rng:_ ->
+          let state = Array.make Dp.state_words 0 in
+          Dp.init sched ~seed ~node:id ~degree state;
+          state);
+      send = (fun state ~port -> Some (Dp.message state ~port));
+      recv =
+        (fun state inbox ->
+          let state = Array.copy state in
+          (* Every neighbour sends on every round (frozen ones via the
+             cache), so the inbox has exactly one entry per port. *)
+          let msgs = Array.make 64 0 in
+          List.iter (fun (p, m) -> msgs.(p) <- m) inbox;
+          Dp.step sched ~degree:(List.length inbox) ~msg:(fun p -> msgs.(p)) state;
+          state);
+      output =
+        (fun state -> if Dp.halted state then Some (Dp.matched_port state) else None);
+    }
+  in
+  let res = Sync.run machine ~seed ~max_rounds (Ld_models.Labelled.Id.trivial g) in
+  let mate =
+    Array.mapi
+      (fun v port -> if port < 0 then -1 else List.nth (Ld_graph.Graph.neighbours g v) port)
+      res.Sync.outputs
+  in
+  { Dp.mate; rounds = res.Sync.rounds }
 
 (* ---- list-based refinement ----
 

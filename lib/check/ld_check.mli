@@ -25,6 +25,24 @@ val run_until :
   Ld_runtime.Anon.graph ->
   's array * int
 
+(** {1 Boxed propose/respond twin} *)
+
+(** The boxed twin of [Ld_matching.Davies_peck.run] (and, under the
+    class-free schedule [{delta = 0; iters_per_class = 1}], of
+    [Ld_matching.Packed_ii.run]): the same transition driven node by
+    node on the [Sync] engine over [Id.trivial] ids, one boxed state
+    array per node, drawing from the same coin stream. Mates and rounds
+    must equal the packed run's at any [LD_DOMAINS].
+    @raise Invalid_argument if [sched] fails
+    [Ld_matching.Davies_peck.check_schedule].
+    @raise Failure if some node has not halted after [max_rounds]. *)
+val propose_respond_run :
+  sched:Ld_matching.Davies_peck.schedule ->
+  seed:int ->
+  max_rounds:int ->
+  Ld_graph.Graph.t ->
+  Ld_matching.Davies_peck.result
+
 (** {1 List-based colour refinement} *)
 
 (** [refine_ec g ~rounds] re-labels every node, each round, by its

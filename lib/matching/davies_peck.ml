@@ -1,7 +1,4 @@
-module G = Ld_graph.Graph
 module Csr = Ld_graph.Csr
-module Id = Ld_models.Labelled.Id
-module Sync = Ld_runtime.Sync
 module Packed = Ld_runtime.Packed
 module Coin = Ld_runtime.Packed.Coin
 
@@ -18,16 +15,19 @@ module Coin = Ld_runtime.Packed.Coin
    always responds, so progress is never blocked. After the [log Δ]
    classes an unrestricted Israeli–Itai cleanup runs until the
    matching is maximal; matched endpoints then form a 2-approximate
-   vertex cover.
+   vertex cover. With [delta = 0] there are no classes and the whole
+   run is that cleanup: plain Israeli–Itai ([Packed_ii]).
 
    Eligibility is a function of purely local state (live-port count
-   and the iteration counter), so the packed machine and its boxed
-   [Sync] twin — drawing from the same {!Packed.Coin} stream — remain
-   exactly comparable: identical mates and rounds at any
-   [LD_DOMAINS].
+   and the iteration counter), so the packed machine and the boxed
+   twin in [Ld_check] — driving the same transition and drawing from
+   the same {!Packed.Coin} stream — remain exactly comparable:
+   identical mates and rounds at any [LD_DOMAINS].
 
-   State slice (7 words): the 6 of [Packed_ii] (coin, live mask,
-   matched, phase, proposal, accept) plus the iteration counter. *)
+   State slice (6 words): coin, live-port bitmask (degree <= 62),
+   matched port (-1), step counter (phase = [s land 1], 0 = propose,
+   1 = respond; iteration = [s lsr 1]), proposal port (-1), accept
+   port (-1). Message (1 word): matched / propose / accept bits. *)
 
 type schedule = { delta : int; iters_per_class : int }
 
@@ -42,20 +42,25 @@ let classes delta =
   done;
   !c
 
-let sw = 7
+let check_schedule sched =
+  if sched.delta < 0 || sched.iters_per_class < 1 then
+    invalid_arg "Davies_peck: schedule needs delta >= 0 and iters_per_class >= 1"
+
+let state_words = 6
 let off_coin = 0
 let off_live = 1
 let off_matched = 2
-let off_phase = 3
+let off_step = 3
 let off_proposal = 4
 let off_accept = 5
-let off_iter = 6
 let bit_matched = 1
 let bit_propose = 2
 let bit_accept = 4
 
 type result = { mate : int array; rounds : int }
 
+(* k-th set bit (0-based) of a nonempty mask — the packed analogue of
+   [List.nth live k] on the ascending live-port list. *)
 let nth_set_bit mask k =
   let m = ref mask and left = ref k and p = ref 0 in
   while !left > 0 || !m land 1 = 0 do
@@ -74,23 +79,19 @@ let popcount x =
   done;
   !c
 
-let eligible sched ~iter ~live_count =
+let eligible sched ~iter live =
   let j = iter / sched.iters_per_class in
-  if j >= classes sched.delta then true
-  else
-    live_count > sched.delta lsr (j + 1)
-    && live_count <= sched.delta lsr j
+  j >= classes sched.delta
+  ||
+  let c = popcount live in
+  c > sched.delta lsr (j + 1) && c <= sched.delta lsr j
 
-(* Shared transition core over a 7-word state array; see Packed_ii
-   for the propose/respond semantics, which are unchanged — only the
-   proposal draw is gated by [eligible]. *)
-
+(* Draw order: a bool draw only if the node has a live port and is
+   eligible, then an int draw only for proposers. *)
 let draw_proposal sched state =
   let live = state.(off_live) in
-  if live = 0 then state.(off_proposal) <- -1
-  else if
-    not (eligible sched ~iter:state.(off_iter) ~live_count:(popcount live))
-  then state.(off_proposal) <- -1
+  if live = 0 || not (eligible sched ~iter:(state.(off_step) lsr 1) live) then
+    state.(off_proposal) <- -1
   else begin
     let c = Coin.next state.(off_coin) in
     state.(off_coin) <- c;
@@ -103,33 +104,31 @@ let draw_proposal sched state =
     else state.(off_proposal) <- -1
   end
 
-let init_state sched state ~seed ~node ~degree =
+let init sched ~seed ~node ~degree state =
   if degree > 62 then invalid_arg "Davies_peck: degree > 62";
   state.(off_coin) <- Coin.seed ~seed ~node;
   state.(off_live) <- (if degree = 0 then 0 else (1 lsl degree) - 1);
   state.(off_matched) <- -1;
-  state.(off_phase) <- 0;
+  state.(off_step) <- 0;
   state.(off_proposal) <- -1;
   state.(off_accept) <- -1;
-  state.(off_iter) <- 0;
   draw_proposal sched state
 
-let msg_of state ~port =
+let message state ~port =
+  let phase = state.(off_step) land 1 in
   (if state.(off_matched) >= 0 then bit_matched else 0)
-  lor
-  (if state.(off_phase) = 0 && state.(off_proposal) = port then bit_propose
-   else 0)
-  lor
-  (if state.(off_phase) = 1 && state.(off_accept) = port then bit_accept
-   else 0)
+  lor (if phase = 0 && state.(off_proposal) = port then bit_propose else 0)
+  lor (if phase = 1 && state.(off_accept) = port then bit_accept else 0)
 
-let step_state sched state ~degree ~msg =
+let step sched ~degree ~msg state =
   let live = ref state.(off_live) in
   for p = 0 to degree - 1 do
     if !live land (1 lsl p) <> 0 && msg p land bit_matched <> 0 then
       live := !live land lnot (1 lsl p)
   done;
-  if state.(off_phase) = 0 then begin
+  if state.(off_step) land 1 = 0 then begin
+    (* Propose phase: responders accept the lowest live proposal from
+       a still-unmatched proposer. *)
     let accept = ref (-1) in
     if state.(off_matched) < 0 && state.(off_proposal) < 0 then begin
       let p = ref 0 in
@@ -143,7 +142,7 @@ let step_state sched state ~degree ~msg =
       done
     end;
     state.(off_live) <- !live;
-    state.(off_phase) <- 1;
+    state.(off_step) <- state.(off_step) + 1;
     state.(off_accept) <- !accept
   end
   else begin
@@ -159,35 +158,41 @@ let step_state sched state ~degree ~msg =
     if matched >= 0 then live := 0;
     state.(off_live) <- !live;
     state.(off_matched) <- matched;
-    state.(off_phase) <- 0;
+    state.(off_step) <- state.(off_step) + 1;
     state.(off_accept) <- -1;
-    state.(off_iter) <- state.(off_iter) + 1;
     draw_proposal sched state
   end
 
-let halted_state state =
+let halted state =
   state.(off_matched) >= 0
-  || (state.(off_live) = 0 && state.(off_phase) = 0)
+  || (state.(off_live) = 0 && state.(off_step) land 1 = 0)
+
+let matched_port state = state.(off_matched)
 
 (* ---------- packed machine ---------- *)
 
+(* The wrappers copy the node's 6-word slice into a scratch, run the
+   transition above, and copy back — 12 word moves per transition,
+   noise next to the message traffic, and one source of truth for the
+   packed machine and the boxed twin. *)
 let machine ~seed ~sched : Packed.Port.machine =
+  let sw = state_words in
   {
     state_words = sw;
     msg_words = 1;
     init =
       (fun ~g ~st ~node ->
         let scratch = Array.make sw 0 in
-        init_state sched scratch ~seed ~node
-          ~degree:(g.Csr.row.(node + 1) - g.Csr.row.(node));
+        init sched ~seed ~node
+          ~degree:(g.Csr.row.(node + 1) - g.Csr.row.(node))
+          scratch;
         Array.blit scratch 0 st (node * sw) sw);
     send =
       (fun ~g ~st ~out ~node ->
-        let b = node * sw in
-        let scratch = Array.sub st b sw in
+        let scratch = Array.sub st (node * sw) sw in
         let lo = g.Csr.row.(node) and hi = g.Csr.row.(node + 1) in
         for d = lo to hi - 1 do
-          out.(d) <- msg_of scratch ~port:(d - lo)
+          out.(d) <- message scratch ~port:(d - lo)
         done);
     recv =
       (fun ~g ~back ~st ~out ~node ->
@@ -199,13 +204,13 @@ let machine ~seed ~sched : Packed.Port.machine =
           let d = lo + p in
           out.(g.Csr.row.(g.Csr.endpoint.(d)) + back.(d))
         in
-        step_state sched scratch ~degree ~msg;
+        step sched ~degree ~msg scratch;
         Array.blit scratch 0 st b sw);
     halted =
       (fun ~st ~node ->
         let b = node * sw in
         st.(b + off_matched) >= 0
-        || (st.(b + off_live) = 0 && st.(b + off_phase) = 0));
+        || (st.(b + off_live) = 0 && st.(b + off_step) land 1 = 0));
   }
 
 let default_schedule g =
@@ -213,6 +218,7 @@ let default_schedule g =
 
 let run ?par_threshold ?domains ?sched ~seed ~max_rounds g =
   let sched = match sched with Some s -> s | None -> default_schedule g in
+  check_schedule sched;
   let st, stats, all_halted =
     Packed.Port.run_until ?par_threshold ?domains (machine ~seed ~sched)
       ~max_rounds g
@@ -224,7 +230,7 @@ let run ?par_threshold ?domains ?sched ~seed ~max_rounds g =
   let n = g.Csr.n in
   let mate =
     Array.init n (fun v ->
-        let p = st.((v * sw) + off_matched) in
+        let p = st.((v * state_words) + off_matched) in
         if p < 0 then -1 else g.Csr.endpoint.(g.Csr.row.(v) + p))
   in
   Array.iteri
@@ -234,46 +240,7 @@ let run ?par_threshold ?domains ?sched ~seed ~max_rounds g =
     mate;
   ({ mate; rounds = stats.Packed.rounds }, stats)
 
-(* ---------- boxed twin (differential oracle) ---------- *)
-
-let reference_machine ~seed ~sched : (int array, int, int) Sync.machine =
-  {
-    init =
-      (fun ~id ~degree ~rng:_ ->
-        let state = Array.make sw 0 in
-        init_state sched state ~seed ~node:id ~degree;
-        state);
-    send = (fun state ~port -> Some (msg_of state ~port));
-    recv =
-      (fun state inbox ->
-        let state = Array.copy state in
-        let msgs = Array.make 64 0 in
-        List.iter (fun (p, m) -> msgs.(p) <- m) inbox;
-        step_state sched state ~degree:(List.length inbox)
-          ~msg:(fun p -> msgs.(p));
-        state);
-    output =
-      (fun state ->
-        if halted_state state then Some state.(off_matched) else None);
-  }
-
-let reference_run ?sched ~seed ~max_rounds g ~delta =
-  let sched =
-    match sched with Some s -> s | None -> { delta; iters_per_class = 2 }
-  in
-  let idg = Id.trivial g in
-  let res = Sync.run (reference_machine ~seed ~sched) ~seed ~max_rounds idg in
-  let mate =
-    Array.mapi
-      (fun v out ->
-        if out < 0 then -1 else List.nth (G.neighbours g v) out)
-      res.Sync.outputs
-  in
-  { mate; rounds = res.Sync.rounds }
-
 (* ---------- vertex cover view ---------- *)
-
-let cover r = Array.map (fun w -> w >= 0) r.mate
 
 let is_vertex_cover g r =
   let ok = ref true in

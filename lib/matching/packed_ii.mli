@@ -1,18 +1,15 @@
-(** Packed Israeli–Itai-style randomized maximal matching on the
-    {!Ld_runtime.Packed.Port} executor — the mega-scale bench
-    workload. Coins come from the one-word {!Ld_runtime.Packed.Coin}
-    stream (a [Random.State] cannot live in an int slice), and
-    {!reference_run} is a boxed twin on [Sync] drawing from the same
-    stream, so packed vs boxed comparison is exact: identical mates
-    and rounds at any [LD_DOMAINS]. Degrees must be <= 62 (live ports
-    are a bitmask in one state word). *)
+(** Packed Israeli–Itai-style randomized maximal matching — the
+    mega-scale bench workload. It is {!Davies_peck} under the
+    class-free schedule [{delta = 0; iters_per_class = 1}]: with no
+    degree classes every node may propose in every iteration. Coins
+    come from the one-word {!Ld_runtime.Packed.Coin} stream, so
+    [Ld_check.propose_respond_run] on that schedule is an exact boxed
+    twin. Degrees must be <= 62. *)
 
-type result = {
+type result = Davies_peck.result = {
   mate : int array;  (** matched far endpoint, or -1 if unmatched *)
   rounds : int;
 }
-
-val machine : seed:int -> Ld_runtime.Packed.Port.machine
 
 (** @raise Failure if some node has not halted after [max_rounds]
     rounds, or if the matching comes out asymmetric (a protocol bug,
@@ -24,11 +21,6 @@ val run :
   max_rounds:int ->
   Ld_graph.Csr.t ->
   result * Ld_runtime.Packed.stats
-
-(** Boxed twin on the [Sync] engine over [Id.trivial] ids — the
-    differential oracle for {!run}. *)
-val reference_run :
-  seed:int -> max_rounds:int -> Ld_graph.Graph.t -> result
 
 (** Sanity check: the mate array is a symmetric matching with no edge
     joining two unmatched nodes. *)

@@ -1,4 +1,4 @@
-(** Packed-state synchronous executors.
+(** Packed-state synchronous executor.
 
     Per-node state lives in [state_words] consecutive ints of one flat
     array, messages in [msg_words] ints of another, halting flags in a
@@ -7,13 +7,13 @@
     GC-bound. Machines address slice [node * state_words ..] of [st]
     and read peers' message slices directly.
 
-    Both executors follow the two-phase active-set discipline of the
-    boxed engines ([Anon], [Sync]), which remain the differential
-    oracles: a packed machine paired with its boxed twin must produce
-    identical observables, states and halting rounds (see
-    test_packed.ml). Parallel ranges come from {!Chunk.ranges} and
-    touch disjoint slices, so results are byte-identical at any
-    [LD_DOMAINS]. *)
+    The executor follows the two-phase active-set discipline of the
+    boxed [Sync] engine, which runs the differential oracles
+    ([Ld_check.propose_respond_run], [Panconesi_rizzi]): a packed
+    machine and its boxed oracle must produce identical outputs and
+    halting rounds (see test_packed.ml).
+    Parallel ranges come from {!Chunk.ranges} and touch disjoint
+    slices, so results are byte-identical at any [LD_DOMAINS]. *)
 
 type stats = {
   rounds : int;  (** synchronous rounds executed *)
@@ -22,37 +22,6 @@ type stats = {
 }
 
 val default_par_threshold : int
-
-(** Broadcast executor for the anonymous EC model: one [msg_words]
-    message per node and round, delivered along every incident dart
-    (loop reflection included — a machine reading across a loop dart
-    sees its own broadcast, as in [Anon]). *)
-module Broadcast : sig
-  type machine = {
-    state_words : int;
-    msg_words : int;
-    init : csr:Ld_models.Ec.csr -> st:int array -> node:int -> unit;
-        (** fill the node's state slice; the CSR segment
-            [row.(node) .. row.(node+1)) carries its colours *)
-    send : st:int array -> out:int array -> node:int -> unit;
-        (** write the node's [msg_words] broadcast slice *)
-    recv : csr:Ld_models.Ec.csr -> st:int array -> out:int array -> node:int -> unit;
-        (** step the node's state from its neighbours' broadcast
-            slices ([out.(other * msg_words) ..]) *)
-    halted : st:int array -> node:int -> bool;
-  }
-
-  (** Runs until every node halts or [max_rounds] is reached. Returns
-      the flat state array, per-run traffic, and whether all nodes
-      halted. *)
-  val run_until :
-    ?par_threshold:int ->
-    ?domains:int ->
-    machine ->
-    max_rounds:int ->
-    Ld_models.Ec.t ->
-    int array * stats * bool
-end
 
 (** Port executor for the ID model over a simple-graph CSR: one
     [msg_words] message per dart and round; the message node [v] sends
@@ -86,8 +55,8 @@ end
 
 (** Deterministic per-node coin stream for packed randomized machines
     (a [Random.State] cannot live in an int slice). One word of state,
-    splitmix-style mixing; boxed differential twins draw from the same
-    stream, making packed-vs-boxed comparison exact. *)
+    splitmix-style mixing; the boxed differential twin draws from the
+    same stream, making packed-vs-boxed comparison exact. *)
 module Coin : sig
   (** Initial stream state for a node. *)
   val seed : seed:int -> node:int -> int
