@@ -23,6 +23,33 @@ let csr_of g = Csr.of_graph g ~colour:(Colouring.greedy g)
    a forced 4-way parallel split. *)
 let domain_legs = [ (1, None); (4, Some 0) ]
 
+(* ---- Israeli–Itai (Port, shared coin stream) ---- *)
+
+(* The boxed twin of every propose/respond run is
+   [Ld_check.propose_respond_run] on the same schedule and seed. *)
+let class_free = { Davies_peck.delta = 0; iters_per_class = 1 }
+
+let ii_matches_twin =
+  QCheck.Test.make ~count:50 ~name:"packed II = boxed twin (all domains)"
+    graph_gen
+    (fun input ->
+      let g = make_graph input in
+      let csr = csr_of g in
+      let oracle =
+        Ld_check.propose_respond_run ~sched:class_free ~seed:7
+          ~max_rounds:10_000 g
+      in
+      List.for_all
+        (fun (domains, par_threshold) ->
+          let r, _ =
+            Packed_ii.run ?par_threshold ~domains ~seed:7 ~max_rounds:10_000
+              csr
+          in
+          r.Packed_ii.mate = oracle.Packed_ii.mate
+          && r.Packed_ii.rounds = oracle.Packed_ii.rounds
+          && Packed_ii.is_maximal csr r)
+        domain_legs)
+
 (* ---- Panconesi–Rizzi (Port, deterministic) ---- *)
 
 let pr_matches_boxed =
@@ -43,48 +70,52 @@ let pr_matches_boxed =
           && r.Packed_pr.cv_iterations = oracle.Pr.cv_iterations)
         domain_legs)
 
-(* ---- propose/respond: Israeli–Itai and Davies–Peck (Port, shared coin stream) ---- *)
+(* ---- Davies–Peck schedule (Port, shared coin stream) ---- *)
 
-(* Three kinds of schedule: class-free (Packed_ii), the default one
-   (Davies_peck.run with no [?sched]), and random explicit ones. *)
+let dp_matches_twin =
+  QCheck.Test.make ~count:50
+    ~name:"packed Davies-Peck = boxed twin, covers" graph_gen
+    (fun input ->
+      let g = make_graph input in
+      let csr = csr_of g in
+      let sched =
+        { Davies_peck.delta = Stdlib.max 1 (G.max_degree g); iters_per_class = 2 }
+      in
+      let oracle =
+        Ld_check.propose_respond_run ~sched ~seed:11 ~max_rounds:10_000 g
+      in
+      List.for_all
+        (fun (domains, par_threshold) ->
+          let r, _ =
+            Davies_peck.run ?par_threshold ~domains ~seed:11
+              ~max_rounds:10_000 csr
+          in
+          r.Davies_peck.mate = oracle.Davies_peck.mate
+          && r.Davies_peck.rounds = oracle.Davies_peck.rounds
+          && Davies_peck.is_vertex_cover csr r)
+        domain_legs)
+
+(* Explicit schedules, including class-free ones and ones whose delta
+   is below the graph's max degree. *)
 let sched_gen =
-  QCheck.oneof
-    [
-      QCheck.always `Class_free;
-      QCheck.always `Default;
-      QCheck.map
-        (fun (delta, iters_per_class) ->
-          `Sched { Davies_peck.delta; iters_per_class })
-        (QCheck.pair (QCheck.int_range 0 8) (QCheck.int_range 1 3));
-    ]
+  QCheck.map
+    (fun (delta, iters_per_class) -> { Davies_peck.delta; iters_per_class })
+    (QCheck.pair (QCheck.int_range 0 8) (QCheck.int_range 1 3))
 
-let propose_respond_matches_twin =
+let random_sched_matches_twin =
   QCheck.Test.make ~count:100
-    ~name:"packed propose/respond = Ld_check twin, every schedule"
+    ~name:"packed Davies-Peck = boxed twin, random schedule"
     (QCheck.pair graph_gen sched_gen)
-    (fun (((_, _, seed) as input), kind) ->
+    (fun (((_, _, seed) as input), sched) ->
       let g = make_graph input in
       let csr = csr_of g in
       let max_rounds = 10_000 in
-      let sched =
-        match kind with
-        | `Class_free -> { Davies_peck.delta = 0; iters_per_class = 1 }
-        | `Default ->
-          { Davies_peck.delta = Stdlib.max 1 (G.max_degree g); iters_per_class = 2 }
-        | `Sched s -> s
-      in
       let oracle = Ld_check.propose_respond_run ~sched ~seed ~max_rounds g in
       List.for_all
         (fun (domains, par_threshold) ->
           let r, _ =
-            match kind with
-            | `Class_free ->
-              Packed_ii.run ?par_threshold ~domains ~seed ~max_rounds csr
-            | `Default ->
-              Davies_peck.run ?par_threshold ~domains ~seed ~max_rounds csr
-            | `Sched sched ->
-              Davies_peck.run ?par_threshold ~domains ~sched ~seed ~max_rounds
-                csr
+            Davies_peck.run ?par_threshold ~domains ~sched ~seed ~max_rounds
+              csr
           in
           r.Davies_peck.mate = oracle.Davies_peck.mate
           && r.Davies_peck.rounds = oracle.Davies_peck.rounds
@@ -131,10 +162,15 @@ let () =
     [
       ( "port",
         [
-          QCheck_alcotest.to_alcotest propose_respond_matches_twin;
+          QCheck_alcotest.to_alcotest ii_matches_twin;
           QCheck_alcotest.to_alcotest pr_matches_boxed;
+          QCheck_alcotest.to_alcotest dp_matches_twin;
           Alcotest.test_case "propose/respond pinned on a 10^4 tree" `Quick
             pinned_tree;
+        ] );
+      ( "schedules",
+        [
+          QCheck_alcotest.to_alcotest random_sched_matches_twin;
           Alcotest.test_case "propose/respond rejects bad schedules" `Quick
             bad_schedules_rejected;
         ] );
